@@ -152,9 +152,10 @@ func TestBatchScalarEquivalence(t *testing.T) {
 
 // TestBatchScalarEquivalenceWrappers runs the same property through the
 // concurrency wrappers' batch paths (one lock per batch for Concurrent;
-// scatter + per-shard flush for Sharded), whose reordering must also be
-// invisible: every item maps to one shard and per-shard order is
-// preserved.
+// scatter into per-shard staging rings for Pipelined), whose reordering
+// must also be invisible: every item maps to one shard and per-shard
+// order is preserved. Pipelined is drained before comparing, so reads
+// see every staged update.
 func TestBatchScalarEquivalenceWrappers(t *testing.T) {
 	const phi = 0.005
 	const seed = 42
@@ -164,7 +165,11 @@ func TestBatchScalarEquivalenceWrappers(t *testing.T) {
 		wrap func(func() Summary) Summary
 	}{
 		{"Concurrent", func(f func() Summary) Summary { return NewConcurrent(f()) }},
-		{"Sharded4", func(f func() Summary) Summary { return NewSharded(4, f) }},
+		{"Pipelined4", func(f func() Summary) Summary {
+			p := NewPipelined(4, f)
+			t.Cleanup(p.Close)
+			return p
+		}},
 	}
 	for _, algo := range []string{"F", "SSH", "SSL", "CM"} {
 		for _, w := range wrappers {
@@ -177,6 +182,11 @@ func TestBatchScalarEquivalenceWrappers(t *testing.T) {
 				}
 				batched := w.wrap(factory)
 				UpdateBatches(batched, stream, 512)
+				for _, s := range []Summary{scalar, batched} {
+					if d, ok := s.(interface{ Drain() }); ok {
+						d.Drain()
+					}
+				}
 				checkEquivalence(t, label, scalar, batched, stream, phi,
 					querySlack(algo, len(stream), phi))
 			}

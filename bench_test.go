@@ -126,72 +126,80 @@ func BenchmarkUpdateBatch(b *testing.B) {
 }
 
 // BenchmarkUpdateBatchSharded is the acceptance benchmark of the batch
-// pipeline: single-writer Sharded(SSH) ingest, scalar loop vs batched
-// scatter/flush, swept over skew because the batch win is duplicate-
-// collapse driven. Each in-batch repeat of an item costs one L1-resident
-// scratch probe instead of a lock + shard hash + index-map + heap-sift
-// round trip, so the speedup tracks the in-batch duplicate fraction:
-// measured on the 2.1 GHz reference box, ~1.25× at z=1.0 (40% in-batch
-// duplicates) and ~3× at z=1.5 (91%) — the skew regime of the paper's
-// real HTTP/UDP traces. The residual per-*distinct* cost is
-// SpaceSavingHeap.Update itself (its index map and heap), which batching
-// pays once per distinct item per batch, identically to scalar.
+// pipeline. Its skew sweep is single-writer Space-Saving (SSH) ingest,
+// scalar loop vs batched, because the batch win is duplicate-collapse
+// driven and lives in the summary's own batch path: each in-batch
+// repeat of an item costs one L1-resident scratch probe instead of an
+// index-map + heap-sift round trip, so the speedup tracks the in-batch
+// duplicate fraction (40% at z=1.0, 91% at z=1.5 — the skew regime of
+// the paper's real HTTP/UDP traces). The residual per-*distinct* cost
+// is SpaceSavingHeap.Update itself, which batching pays once per
+// distinct item per batch, identically to scalar.
 func BenchmarkUpdateBatchSharded(b *testing.B) {
 	for _, z := range []float64{1.0, 1.5} {
 		stream := benchStream(b, z)
-		for _, shards := range []int{4, 16} {
-			mk := func() Summary {
-				return NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
+		mk := func() Summary { return NewSpaceSaving(1000) }
+		b.Run(fmt.Sprintf("scalar/z=%.1f", z), func(b *testing.B) {
+			s := mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Update(stream[i%len(stream)], 1)
 			}
-			b.Run(fmt.Sprintf("scalar/z=%.1f/shards=%d", z, shards), func(b *testing.B) {
-				s := mk()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Update(stream[i%len(stream)], 1)
-				}
-				b.StopTimer()
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if perOp > 0 {
-					b.ReportMetric(1e6/perOp, "upd/ms")
-				}
-			})
-			b.Run(fmt.Sprintf("batch/z=%.1f/shards=%d", z, shards), func(b *testing.B) {
-				benchBatchUpdates(b, mk, stream)
-			})
-		}
+			b.StopTimer()
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if perOp > 0 {
+				b.ReportMetric(1e6/perOp, "upd/ms")
+			}
+		})
+		b.Run(fmt.Sprintf("batch/z=%.1f", z), func(b *testing.B) {
+			benchBatchUpdates(b, mk, stream)
+		})
 	}
 
-	// Multi-writer plane comparison: the locked Sharded scatter vs the
-	// staged-ring Pipelined plane, same batches, same claim discipline
-	// (writers pull batch indices off one atomic cursor). The pipelined
-	// win is writer-side: a writer stages and moves on instead of
-	// holding shard mutexes across the apply, so with real cores the
-	// writers scale while the per-shard drainers pipeline behind them.
-	// (On a single-core box the drainers time-share with the writers
-	// and the comparison degenerates to context-switch overhead —
-	// interpret multi-writer numbers only on multi-core hardware.)
+	// Multi-writer plane comparison: the two planes freqd chooses
+	// between — one mutex (-shards 1) vs the 4-shard staged-ring plane —
+	// on the same batches with the same claim discipline (writers pull
+	// batch indices off one atomic cursor). The pipelined win is
+	// writer-side: a writer stages and moves on instead of holding the
+	// mutex across the apply, so with real cores the writers scale while
+	// the per-shard drainers pipeline behind them. (On a single core the
+	// drainers time-share with the writers; -shards 1 is the right
+	// setting there.)
 	stream := benchStream(b, 1.5)
 	for _, algo := range []string{"SSH", "CM"} {
 		algo := algo
 		factory := func() Summary { return MustNew(algo, benchPhi, benchSeed) }
 		for _, writers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("locked/%s/writers=%d", algo, writers), func(b *testing.B) {
-				benchPlane(b, NewSharded(4, factory), nil, stream, writers)
+				plane, drain := planeFor(b, 1, factory)
+				benchPlane(b, plane, drain, stream, writers)
 			})
 			b.Run(fmt.Sprintf("pipelined/%s/writers=%d", algo, writers), func(b *testing.B) {
-				p := NewPipelined(4, factory)
-				defer p.Close()
-				benchPlane(b, p, p.Drain, stream, writers)
+				plane, drain := planeFor(b, 4, factory)
+				benchPlane(b, plane, drain, stream, writers)
 			})
 		}
 	}
 }
 
-// ingestPlane is the surface benchPlane drives on both planes.
+// ingestPlane is the surface the plane benchmarks drive.
 type ingestPlane interface {
-	UpdateBatch(items []Item)
-	N() int64
+	Summary
+	BatchUpdater
+}
+
+// planeFor builds the ingest plane freqd serves at a shard count: one
+// mutex (Concurrent) for a single shard, the staged Pipelined plane
+// above. drain is nil for the mutex, which applies synchronously; the
+// staged plane is closed when b ends.
+func planeFor(b *testing.B, shards int, factory func() Summary) (ingestPlane, func()) {
+	if shards == 1 {
+		return NewConcurrent(factory()), nil
+	}
+	p := NewPipelined(shards, factory)
+	b.Cleanup(p.Close)
+	return p, p.Drain
 }
 
 // benchPlane pushes ~b.N items through the plane from `writers`
@@ -276,14 +284,14 @@ func BenchmarkPipelinedIngest(b *testing.B) {
 }
 
 // BenchmarkConcurrentBatchIngest measures parallel writers pushing
-// batches into one Sharded summary — the scaling story the scatter
-// buffers and per-batch shard locks exist for (compare against
-// BenchmarkConcurrentIngest, the per-item-lock equivalent).
+// batches into the plane freqd serves at each shard count (compare
+// against BenchmarkConcurrentIngest, the per-item equivalent).
 func BenchmarkConcurrentBatchIngest(b *testing.B) {
 	stream := benchStream(b, 1.0)
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
+			s, drain := planeFor(b, shards, func() Summary { return NewSpaceSaving(1000) })
+			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				buf := make([]Item, 0, 512)
 				i := 0
@@ -299,6 +307,9 @@ func BenchmarkConcurrentBatchIngest(b *testing.B) {
 					s.UpdateBatch(buf)
 				}
 			})
+			if drain != nil {
+				drain()
+			}
 		})
 	}
 }
@@ -693,12 +704,16 @@ func BenchmarkAblationHierarchyBits(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentIngest measures the sharded wrapper's scalability.
+// BenchmarkConcurrentIngest measures per-item (weighted-path) ingest
+// from parallel writers into the plane freqd serves at each shard
+// count. On the staged plane every scalar update claims a slot in
+// every ring, so batch ingest is its fast path.
 func BenchmarkConcurrentIngest(b *testing.B) {
 	stream := benchStream(b, 1.0)
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
+			s, drain := planeFor(b, shards, func() Summary { return NewSpaceSaving(1000) })
+			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
@@ -706,6 +721,9 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 					i++
 				}
 			})
+			if drain != nil {
+				drain()
+			}
 		})
 	}
 }

@@ -1,10 +1,11 @@
 package main
 
-// Ingest-plane sweep: freqbench -writers 1,2,4,8 pits the locked
-// Sharded plane against the lock-free Pipelined plane at each writer
-// count, on the same pre-sliced batch stream. This is the source for
-// the README scaling table; unlike the paper experiments (-exp) it
-// measures the concurrency planes, not the summaries.
+// Ingest-plane sweep: freqbench -writers 1,2,4,8 pits the two planes
+// freqd chooses between — the single-mutex Concurrent (-shards 1) and
+// the lock-free Pipelined plane (-shards N) — at each writer count, on
+// the same pre-sliced batch stream. This is the source for the README
+// scaling table; unlike the paper experiments (-exp) it measures the
+// concurrency planes, not the summaries.
 
 import (
 	"fmt"
@@ -29,7 +30,7 @@ type batchSink interface {
 }
 
 // runIngestSweep drives both planes at each writer count and prints an
-// items/ms table plus the pipelined-over-locked speedup.
+// items/ms table plus the pipelined-over-mutex speedup.
 func runIngestSweep(writersSpec, algosSpec string, shards, n, batch int, phi float64, seed uint64) error {
 	writers, err := parseWriters(writersSpec)
 	if err != nil {
@@ -60,12 +61,12 @@ func runIngestSweep(writersSpec, algosSpec string, shards, n, batch int, phi flo
 	fmt.Printf("ingest-plane sweep: n=%d batch=%d shards=%d GOMAXPROCS=%d\n",
 		n, batch, shards, runtime.GOMAXPROCS(0))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "algo\twriters\tlocked items/ms\tpipelined items/ms\tspeedup")
+	fmt.Fprintln(tw, "algo\twriters\tmutex items/ms\tpipelined items/ms\tspeedup")
 	for _, algo := range algos {
 		algo = strings.TrimSpace(algo)
 		factory := func() core.Summary { return streamfreq.MustNew(algo, phi, seed) }
 		for _, w := range writers {
-			locked := drive(core.NewSharded(shards, factory), nil, batches, w)
+			locked := drive(core.NewConcurrent(factory()), nil, batches, w)
 			p := core.NewPipelined(shards, factory)
 			pipelined := drive(p, p.Drain, batches, w)
 			p.Close()

@@ -6,7 +6,7 @@
 //	freqbench -exp F1                 # one experiment, paper scale
 //	freqbench -exp all -n 1000000     # full suite at reduced scale
 //	freqbench -exp F6 -algos CMH,CGT -csv results.csv
-//	freqbench -writers 1,4,8 -n 4000000   # ingest-plane sweep: locked vs pipelined
+//	freqbench -writers 1,4,8 -n 4000000   # ingest-plane sweep: 1-shard mutex vs pipelined
 //
 // Paper scale (-n 10000000) takes minutes per experiment; start with
 // -n 1000000 for a quick look. Output shapes, not absolute throughput,
@@ -31,8 +31,8 @@ func main() {
 		seed     = flag.Uint64("seed", 20080824, "workload and hash seed")
 		algos    = flag.String("algos", "", "comma-separated algorithm filter (default: all)")
 		batch    = flag.Int("batch", 0, "ingest batch length (0 = default, negative = scalar per-item updates)")
-		writers  = flag.String("writers", "", "ingest-plane sweep: comma-separated writer counts (e.g. 1,4,8); compares locked vs pipelined ingest instead of running -exp")
-		shards   = flag.Int("shards", 4, "ingest shards for the -writers sweep (power of two)")
+		writers  = flag.String("writers", "", "ingest-plane sweep: comma-separated writer counts (e.g. 1,4,8); compares the 1-shard mutex vs pipelined ingest instead of running -exp")
+		shards   = flag.Int("shards", 4, "pipelined ingest shards for the -writers sweep (power of two)")
 		csvPath  = flag.String("csv", "", "also write machine-readable rows to this file")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		check    = flag.Bool("check", false, "verify the paper's qualitative claims against the results; exit 1 on failure")

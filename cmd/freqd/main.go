@@ -9,9 +9,8 @@
 // Usage:
 //
 //	freqd -algo SSH -phi 0.001 -addr :8080
-//	freqd -algo CM -phi 0.01 -shards 8 -staleness 250ms
-//	freqd -algo SSH -phi 0.001 -shards 8 -pipeline    # lock-free staged ingest plane
-//	freqd -algo SSH -phi 0.001 -pipeline -pprof :6060 # with mutex/block profiling
+//	freqd -algo CM -phi 0.01 -shards 8 -staleness 250ms   # lock-free staged ingest plane
+//	freqd -algo SSH -phi 0.001 -shards 4 -pprof :6060     # with mutex/block profiling
 //	freqd -algo SSH -phi 0.001 -data-dir /var/lib/freqd -fsync interval -checkpoint-every 1m
 //	freqd -window 1000000 -window-blocks 10 -phi 0.001    # heavy hitters over the last 1M items
 //	freqd -tenants -phi 0.01 -tenant-phi eu=0.001 -tenant-max-resident 4096   # namespaced summaries under /v1/t/{ns}/...
@@ -103,8 +102,7 @@ func main() {
 		algo      = flag.String("algo", "SSH", "algorithm code (freqbench -list shows the roster)")
 		phi       = flag.Float64("phi", 0.001, "provision the summary for thresholds down to phi")
 		seed      = flag.Uint64("seed", 1, "hash seed for sketches")
-		shards    = flag.Int("shards", 1, "ingest shards (power of two; 1 = single mutex)")
-		pipeline  = flag.Bool("pipeline", false, "lock-free ingest plane: stage batches into per-shard rings, apply via drainer goroutines (see -shards)")
+		shards    = flag.Int("shards", 1, "ingest shards (power of two; 1 = single mutex, >1 = lock-free plane: per-shard staging rings applied by drainer goroutines)")
 		staleness = flag.Duration("staleness", 100*time.Millisecond, "query snapshot staleness bound (0 = always fresh)")
 		batch     = flag.Int("batch", 0, "ingest batch length (0 = default)")
 		epoch     = flag.Uint64("epoch", 0, "process epoch stamped on summaries and ingest acks (0 = draw from the clock); explicit values are for deterministic failover drills")
@@ -145,7 +143,7 @@ func main() {
 	var table *tenant.Table
 	if *tenants {
 		var err error
-		table, err = buildTenantTable(*algo, *phi, *seed, *shards, *pipeline, *windowLen, *tenantMax, tenantPhi)
+		table, err = buildTenantTable(*algo, *phi, *windowLen, *tenantMax, tenantPhi)
 		if err != nil {
 			fatal(err)
 		}
@@ -154,7 +152,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	target, store, label, err := buildTarget(o.Log, *algo, *phi, *seed, *shards, *pipeline, *staleness,
+	target, store, label, err := buildTarget(o.Log, *algo, *phi, *seed, *shards, *staleness,
 		*windowLen, *windowB, spans, *horizonB, *dataDir, *fsyncMode, *fsyncEvery, table)
 	if err != nil {
 		fatal(err)
@@ -191,9 +189,6 @@ func main() {
 	attrs := []any{"algo", label, "phi", *phi, "shards", *shards, "staleness", *staleness, "addr", *addr}
 	if table != nil {
 		attrs = append(attrs, "tenants", true, "tenant_max_resident", *tenantMax)
-	}
-	if *pipeline {
-		attrs = append(attrs, "pipeline", true)
 	}
 	if *windowLen > 0 {
 		attrs = append(attrs, "window", *windowLen, "window_blocks", *windowB)
@@ -244,36 +239,17 @@ func checkpointLoop(log *slog.Logger, store *persist.Store, target persist.Targe
 	}
 }
 
-// buildTarget wraps a registry summary for serving: the lock-free
-// Pipelined ingest plane with -pipeline, Sharded across power-of-two
-// shards when asked, plain Concurrent otherwise; with -window set, the
-// summary is the sliding-window Space-Saving ("SSW") and queries
-// answer over the last W items. With a data directory it also opens
-// the durability layer in the startup order recovery requires —
-// construct, recover, wire the WAL, then enable snapshot serving. The
-// returned label is the effective algorithm name — the -algo code, or
-// "SSW" in windowed mode — and is the single source for both the
-// serving layer's Algo and the checkpoint's mode-exclusive algo stamp.
 // buildTenantTable validates the multi-tenant flag combination and
 // constructs the namespaced table. Tenancy is a serving arrangement of
 // many small Space-Saving summaries on one slab, so the mode excludes
-// the single-summary arrangements: windows, pipelining, sharding, and
-// non-SSH algorithms.
-func buildTenantTable(algo string, phi float64, seed uint64, shards int, pipeline bool,
-	windowLen, maxResident int, overrides map[string]float64) (*tenant.Table, error) {
+// windows and non-SSH algorithms (buildTarget refuses -shards).
+func buildTenantTable(algo string, phi float64, windowLen, maxResident int, overrides map[string]float64) (*tenant.Table, error) {
 	if !strings.EqualFold(algo, "SSH") {
 		return nil, fmt.Errorf("-tenants serves slab-backed Space-Saving; drop -algo %s (or set SSH)", algo)
 	}
 	if windowLen > 0 {
 		return nil, fmt.Errorf("-tenants and -window are incompatible; pick one serving arrangement")
 	}
-	if pipeline {
-		return nil, fmt.Errorf("-tenants has per-namespace summaries, not a staged plane; drop -pipeline")
-	}
-	if shards != 1 {
-		return nil, fmt.Errorf("-tenants is namespace-keyed, not hash-sharded; drop -shards %d", shards)
-	}
-	_ = seed // SSH hashes per item, not per summary; the flag stays valid
 	return tenant.NewTable(tenant.Options{
 		DefaultPhi:  phi,
 		MaxResident: maxResident,
@@ -317,7 +293,17 @@ func mustSummary(algo string, phi float64, seed uint64) core.Summary {
 	return s
 }
 
-func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards int, pipeline bool, staleness time.Duration,
+// buildTarget wraps a registry summary for serving: the lock-free
+// Pipelined ingest plane for -shards above 1, plain Concurrent for one
+// shard; with -window set, the summary is the sliding-window
+// Space-Saving ("SSW") and queries answer over the last W items. With a
+// data directory it also opens the durability layer in the startup
+// order recovery requires — construct, recover, wire the WAL, then
+// enable snapshot serving. The returned label is the effective
+// algorithm name — the -algo code, or "SSW" in windowed mode — and is
+// the single source for both the serving layer's Algo and the
+// checkpoint's mode-exclusive algo stamp.
+func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards int, staleness time.Duration,
 	windowLen, windowBlocks int, horizons []time.Duration, horizonBlocks int,
 	dataDir, fsyncMode string, fsyncEvery time.Duration, table *tenant.Table) (serve.Target, *persist.Store, string, error) {
 	probe, err := newSummary(algo, phi, seed) // validate algo/phi before wrapping
@@ -346,9 +332,6 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 		if table != nil {
 			return nil, nil, "", fmt.Errorf("-horizons and -tenants are incompatible; pick one serving arrangement")
 		}
-		if pipeline {
-			return nil, nil, "", fmt.Errorf("-horizons is one composition with internal rings; drop -pipeline")
-		}
 		if shards != 1 {
 			return nil, nil, "", fmt.Errorf("-horizons is single-shard; drop -shards %d", shards)
 		}
@@ -366,6 +349,9 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 		// Multi-tenant: the table is its own concurrency wrapper (one
 		// lock over tiny critical sections) and its own durable target
 		// (tenant-tagged WAL records, manifest checkpoints).
+		if shards != 1 {
+			return nil, nil, "", fmt.Errorf("-tenants is namespace-keyed, not hash-sharded; drop -shards %d", shards)
+		}
 		durable = table
 	case windowLen > 0:
 		// Windowed serving: block-decomposed Space-Saving over the last
@@ -379,21 +365,14 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 		if shards != 1 {
 			return nil, nil, "", fmt.Errorf("-window is single-shard; drop -shards %d", shards)
 		}
-		if pipeline {
-			return nil, nil, "", fmt.Errorf("-window is one summary with internal blocks; drop -pipeline")
-		}
 		win, err := streamfreq.NewWindowedForPhi(phi, windowLen, windowBlocks)
 		if err != nil {
 			return nil, nil, "", err
 		}
 		label = "SSW" // a windowed data dir never restores into a flat summary
 		durable = core.NewConcurrent(win)
-	case pipeline:
-		durable = core.NewPipelined(shards, func() core.Summary {
-			return mustSummary(algo, phi, seed)
-		})
 	case shards > 1:
-		durable = core.NewSharded(shards, func() core.Summary {
+		durable = core.NewPipelined(shards, func() core.Summary {
 			return mustSummary(algo, phi, seed)
 		})
 	default:
@@ -434,8 +413,6 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 		// -staleness snapshot machinery does not apply.
 		return t, store, label, nil
 	case *core.Pipelined:
-		return t.ServeSnapshots(staleness), store, label, nil
-	case *core.Sharded:
 		return t.ServeSnapshots(staleness), store, label, nil
 	default:
 		return durable.(*core.Concurrent).ServeSnapshots(staleness), store, label, nil

@@ -37,7 +37,7 @@
 //
 // Every summary implements Snapshotter: Snapshot() returns an
 // independent deep copy, frozen at the moment it is taken. The
-// Concurrent and Sharded wrappers build on this with ServeSnapshots,
+// Concurrent and Pipelined wrappers build on this with ServeSnapshots,
 // which answers Query/Estimate/N from an epoch snapshot refreshed at
 // most once per staleness window — readers never take the ingest lock,
 // so query traffic does not slow the batched ingest hot path. The freqd
@@ -49,21 +49,21 @@
 //
 // # Lock-free ingest plane
 //
-// For write-heavy deployments, NewPipelined replaces the locked
-// Sharded scatter with staged ingest: writers claim one global stream
-// position with an atomic add, append to the write-ahead log at that
-// ticket, stage the batch into per-shard bounded rings (internal/ring,
-// sequence-stamped slots in the Vyukov MPSC style), and return; one
-// drainer goroutine per shard applies slots strictly in claimed order.
-// Per-shard apply order therefore equals global claim order, which
-// makes the plane a drop-in: single-writer pipelined ingest is
-// bit-identical to sequential Sharded ingest, the WAL is never behind
-// memory (append happens before staging), checkpoints and snapshot
+// For write-heavy deployments, NewPipelined partitions the stream by
+// item across shard summaries and stages ingest: writers claim one
+// global stream position with an atomic add, append to the write-ahead
+// log at that ticket, stage the batch into per-shard bounded rings
+// (internal/ring, sequence-stamped slots in the Vyukov MPSC style), and
+// return; one drainer goroutine per shard applies slots strictly in
+// claimed order. Per-shard apply order therefore equals global claim
+// order: single-writer pipelined ingest is bit-identical to a
+// sequential per-shard scatter, the WAL is never behind memory (append
+// happens before staging), checkpoints and snapshot
 // refreshes quiesce the rings at an exact cross-shard cut, and the
 // steady-state hot path allocates nothing (slot buffers are reused
 // after the first ring wrap; CI gates allocs/op at zero). freqd
-// -pipeline serves it; freqbench -writers measures it against the
-// locked plane.
+// -shards N (N > 1) serves it, -shards 1 serves the single-mutex
+// Concurrent; freqbench -writers measures one against the other.
 //
 // # Durability
 //

@@ -30,7 +30,7 @@ type BatchUpdater = core.BatchUpdater
 // Snapshotter is implemented by summaries that can produce an
 // independent point-in-time deep copy of themselves; every algorithm in
 // the registry does. Snapshots are the serving primitive: Concurrent and
-// Sharded answer queries from epoch snapshots (ServeSnapshots) so
+// Pipelined answer queries from epoch snapshots (ServeSnapshots) so
 // readers never block ingest, and a snapshot can be serialized or merged
 // while its parent keeps ingesting. See core.Snapshotter for the exact
 // independence contract.
@@ -166,21 +166,13 @@ func NewTracked(inner Summary, capacity int) *core.Tracked {
 // instead of locking the summary on every read.
 func NewConcurrent(inner Summary) *core.Concurrent { return core.NewConcurrent(inner) }
 
-// NewSharded partitions ingest across a power-of-two number of
-// independently locked summaries. Call ServeSnapshots on the result for
-// lock-free snapshot reads; Snapshot merges per-shard clones into one
-// independent summary of the whole stream.
-func NewSharded(shards int, factory func() Summary) *core.Sharded {
-	return core.NewSharded(shards, factory)
-}
-
 // NewPipelined builds the lock-free ingest plane: updates are staged
 // into per-shard MPSC rings and applied in claimed stream order by one
 // drainer goroutine per shard, so concurrent writers never contend on
 // a summary mutex while keeping ingest bit-identical to sequential
-// batching. Same factory contract as NewSharded; call Close to stop
-// the drainers. See core.Pipelined for the ordering and durability
-// guarantees.
+// batching. The factory must produce mergeable summaries with
+// identical parameters; call Close to stop the drainers. See
+// core.Pipelined for the ordering and durability guarantees.
 func NewPipelined(shards int, factory func() Summary) *core.Pipelined {
 	return core.NewPipelined(shards, factory)
 }

@@ -1,12 +1,12 @@
 package apitest_test
 
-// One executable API contract, three daemons: freqd (flat and
-// multi-tenant), freqmerge (flat and tenant-merge), and freqrouter all
-// run through apitest.Conform with their route tables. The daemons are
-// built the way their commands build them — real serve.Server,
-// cluster.Coordinator over a loopback node, router.Router over a
-// loopback replica — so a route that drifts out of the contract fails
-// here before any client notices.
+// One executable API contract, three daemons: freqd (single-mutex,
+// pipelined, and multi-tenant), freqmerge (flat and tenant-merge), and
+// freqrouter all run through apitest.Conform with their route tables.
+// The daemons are built the way their commands build them — real
+// serve.Server, cluster.Coordinator over a loopback node, router.Router
+// over a loopback replica — so a route that drifts out of the contract
+// fails here before any client notices.
 
 import (
 	"context"
@@ -69,6 +69,28 @@ func TestFreqdConformance(t *testing.T) {
 		"freq_build_info", "freq_uptime_seconds", "freq_stream_n",
 		"freq_ingest_batch_items", "freq_ingest_apply_seconds",
 		"freq_snapshot_age_seconds", "freq_snapshot_refreshes_total")
+}
+
+// TestFreqdPipelinedConformance runs the node contract on the plane
+// freqd serves for -shards 2: the staged Pipelined plane.
+func TestFreqdPipelinedConformance(t *testing.T) {
+	target := core.NewPipelined(2, func() core.Summary {
+		return streamfreq.MustNew("SSH", 0.01, 1)
+	}).ServeSnapshots(0)
+	defer target.Close()
+	target.UpdateBatch([]core.Item{1, 2, 3})
+	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSH"})
+	apitest.Conform(t, srv.Handler(), freqdRoutes)
+	apitest.ConformIngest(t, srv.Handler(), "/v1/ingest")
+	apitest.ConformIngest(t, srv.Handler(), "/ingest")
+	apitest.ConformMetrics(t, srv.Handler(),
+		"freq_http_request_seconds", "freq_http_requests_total",
+		"freq_build_info", "freq_uptime_seconds", "freq_stream_n",
+		"freq_ingest_batch_items", "freq_ingest_apply_seconds",
+		"freq_snapshot_age_seconds", "freq_snapshot_refreshes_total",
+		"freq_pipeline_staged_items", "freq_pipeline_ring_bytes",
+		"freq_pipeline_shards", "freq_pipeline_ring_occupancy",
+		"freq_pipeline_claimed_items_total", "freq_pipeline_applied_items_total")
 }
 
 func TestFreqdTenantConformance(t *testing.T) {

@@ -1,10 +1,10 @@
 package core_test
 
-// Race-focused coverage for the concurrency wrappers' batch paths: N
+// Race-focused coverage for the ingest planes' batch paths: N
 // goroutines ingest disjoint slices of one stream through UpdateBatch
 // (with readers querying mid-ingest), then the result is checked against
 // a sequential reference run. Run under -race (CI does) these tests also
-// prove the scatter buffers and per-batch locking publish no unguarded
+// prove the staging rings and per-batch locking publish no unguarded
 // state.
 //
 // The equality assertions use the exact counter as the inner summary:
@@ -126,13 +126,16 @@ func TestConcurrentBatchIngestMatchesSequential(t *testing.T) {
 
 func TestShardedBatchIngestMatchesSequential(t *testing.T) {
 	stream := raceStream(t, 200_000)
-	s := core.NewSharded(8, func() core.Summary { return exact.New() })
+	s := core.NewPipelined(8, func() core.Summary { return exact.New() })
+	defer s.Close()
 	ingestConcurrently(t, s, stream)
+	s.Drain()
 	checkAgainstSequential(t, s, stream, int64(len(stream)/1000))
 }
 
 // TestShardedSpaceSavingBatchIngest drives the eviction-heavy
-// Space-Saving heap through the sharded batch path under concurrency.
+// Space-Saving heap through the sharded plane's staged batch path under
+// concurrency.
 // SSH results depend on arrival interleaving, so only order-insensitive
 // invariants are asserted: the total count, the per-shard capacity
 // bound, and Space-Saving's no-underestimate guarantee for the heavy
@@ -140,8 +143,10 @@ func TestShardedBatchIngestMatchesSequential(t *testing.T) {
 func TestShardedSpaceSavingBatchIngest(t *testing.T) {
 	stream := raceStream(t, 200_000)
 	const k = 256
-	s := core.NewSharded(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	s := core.NewPipelined(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	defer s.Close()
 	ingestConcurrently(t, s, stream)
+	s.Drain()
 	if got, want := s.N(), int64(len(stream)); got != want {
 		t.Fatalf("N = %d, want %d", got, want)
 	}

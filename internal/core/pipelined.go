@@ -20,13 +20,14 @@ import (
 // every shard's ring (staged empty where the batch has no items for
 // that shard), so each drainer applies positions in global claim
 // order. Per-shard apply order therefore equals the order a purely
-// sequential Sharded ingest would produce with the same batch
-// boundaries, which keeps the pipelined plane bit-identical to
-// sequential UpdateBatch — the PR-1 batched==scalar property survives
-// verbatim (pinned by TestPipelinedMatchesSequential).
+// sequential scatter would produce with the same batch boundaries,
+// which keeps the pipelined plane bit-identical to sequential
+// UpdateBatch into per-shard summaries (pinned by
+// TestPipelinedOrderMatchesSequential and the registry-wide
+// TestPipelinedMatchesSequentialRegistry).
 //
-// Durability keeps the same WAL-append-before-apply contract as the
-// locked wrappers, enforced by a ticket on the claim position: a
+// Durability keeps the same WAL-append-before-apply contract as
+// Concurrent, enforced by a ticket on the claim position: a
 // writer that claimed position g waits for walTurn == g, appends,
 // then advances walTurn — so log order equals claim order equals
 // apply order, and the append happens before the batch is even staged,
@@ -77,7 +78,7 @@ type Pipelined struct {
 	syncMu  sync.Mutex
 	wg      sync.WaitGroup
 
-	// Snapshot serving state, mirroring Sharded.
+	// Snapshot serving state, mirroring Concurrent.
 	serving   bool
 	maxStale  time.Duration
 	snap      atomic.Pointer[shardedSnapshot]
@@ -92,8 +93,7 @@ const DefaultRingCapacity = 32
 
 // ringShedItems is the per-slot buffer capacity bound: a slot buffer
 // grown past two default batches by an outlier is shed on release
-// instead of being pooled forever (the ring-level twin of the
-// Sharded scatter-buffer shed).
+// instead of being pooled forever.
 const ringShedItems = 2 * DefaultBatchSize
 
 // pipeCtl is a barrier or shutdown control payload staged into every
@@ -105,11 +105,60 @@ type pipeCtl struct {
 	release  chan struct{} // closed by the coordinator to resume
 }
 
+// shardIndex spreads low-entropy item spaces across shards with the
+// SplitMix64 finalizer. Sharding by item (not round-robin) keeps each
+// item's entire count in one shard, so per-shard guarantees are global
+// guarantees with per-shard error ε_shard = ε.
+func shardIndex(x Item, mask uint64) uint64 {
+	v := uint64(x)
+	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
+	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
+	v ^= v >> 31
+	return v & mask
+}
+
+// shardedSnapshot is an immutable ReadView of the plane: one clone per
+// shard, taken at one barrier position, routed by the same item hash,
+// so snapshot reads have exactly the semantics of locked reads
+// (Estimate routes to the item's shard, Query unions the shard
+// reports).
+type shardedSnapshot struct {
+	views   []Summary
+	mask    uint64
+	version uint64
+	taken   time.Time
+}
+
+// Estimate implements ReadView by routing to the item's shard view.
+func (v *shardedSnapshot) Estimate(x Item) int64 {
+	return v.views[shardIndex(x, v.mask)].Estimate(x)
+}
+
+// Query implements ReadView as the union of the shard views' reports.
+func (v *shardedSnapshot) Query(threshold int64) []ItemCount {
+	var out []ItemCount
+	for _, view := range v.views {
+		out = append(out, view.Query(threshold)...)
+	}
+	SortByCountDesc(out)
+	return out
+}
+
+// N implements ReadView as the sum of the shard views' totals.
+func (v *shardedSnapshot) N() int64 {
+	var n int64
+	for _, view := range v.views {
+		n += view.N()
+	}
+	return n
+}
+
 // NewPipelined builds a pipelined ingest plane with shards
-// power-of-two shard summaries (same factory contract as NewSharded:
-// mergeable summaries with identical parameters) and starts one
-// drainer goroutine per shard. Call Close to stop the drainers; a
-// closed plane keeps working through a synchronous fallback path.
+// power-of-two shard summaries and starts one drainer goroutine per
+// shard. The factory must produce mergeable summaries with identical
+// parameters (for sketches, identical seeds). Call Close to stop the
+// drainers; a closed plane keeps working through a synchronous
+// fallback path.
 func NewPipelined(shards int, factory func() Summary) *Pipelined {
 	return newPipelined(shards, DefaultRingCapacity, factory)
 }
@@ -185,7 +234,7 @@ func (p *Pipelined) Name() string { return p.shards[0].Name() + "-pipelined" }
 // claimed slot of each shard ring in one hashing pass, and publish.
 // The batch is acknowledged once staged; Drain (or any barrier) is the
 // flush point. items is copied out before return and may be reused by
-// the caller, matching the locked wrappers' contract.
+// the caller, matching Concurrent's contract.
 func (p *Pipelined) UpdateBatch(items []Item) {
 	if len(items) == 0 {
 		return
@@ -231,7 +280,7 @@ func (p *Pipelined) UpdateBatch(items []Item) {
 // Update implements Summary for weighted (turnstile) arrivals. A
 // weighted update claims a full position — it must, to keep every
 // ring's slot sequence gap-free — so the scalar path is not the fast
-// path here any more than it was under the locked wrappers.
+// path here.
 func (p *Pipelined) Update(x Item, count int64) {
 	p.life.RLock()
 	if p.stopped {
@@ -372,17 +421,16 @@ func (p *Pipelined) Close() {
 
 // PersistTo routes every subsequent update through pr before it is
 // staged, in claim order; see Persister. Setup-time only (after
-// Recover, before the plane is shared), like the locked wrappers.
+// Recover, before the plane is shared), like Concurrent.PersistTo.
 func (p *Pipelined) PersistTo(pr Persister) {
 	p.persist = pr
 	p.walTurn.Store(p.cursor.Load())
 }
 
 // SnapshotBarrier clones every shard at one quiesced cross-shard
-// position and hands the clones' total stream position to cut; the
-// pipelined counterpart of Sharded.SnapshotBarrier, with the WAL
-// ticket held across the cut so cut's n equals the log's position
-// exactly. cut may be nil.
+// position and hands the clones' total stream position to cut; see
+// Concurrent.SnapshotBarrier. The WAL ticket is held across the cut,
+// so cut's n equals the log's position exactly. cut may be nil.
 func (p *Pipelined) SnapshotBarrier(cut func(n int64)) []Summary {
 	var views []Summary
 	clone := func(uint64) {
@@ -408,8 +456,11 @@ func (p *Pipelined) SnapshotBarrier(cut func(n int64)) []Summary {
 
 // RestoreState replaces each shard's summary with the corresponding
 // recovered shard and resets the acknowledged stream position to the
-// restored state's. Same shard-count contract as Sharded.RestoreState;
-// setup-time only (startup recovery, before concurrent writers).
+// restored state's. The count must match the plane's shard count: a
+// checkpoint taken at -shards 8 cannot restore into -shards 4 (per-item
+// shard residency would change under the recovered counters — the
+// operator re-shards by restarting with the original count).
+// Setup-time only (startup recovery, before concurrent writers).
 func (p *Pipelined) RestoreState(shards []Summary) error {
 	if len(shards) != len(p.shards) {
 		return fmt.Errorf("core: Pipelined restore needs %d shards, got %d (restart with the checkpoint's shard count)",
@@ -442,7 +493,7 @@ func (p *Pipelined) RestoreState(shards []Summary) error {
 func (p *Pipelined) LiveN() int64 { return p.claimedN.Load() }
 
 // ServeSnapshots enables snapshot-based reads with bounded staleness,
-// mirroring Sharded.ServeSnapshots; refreshes quiesce the plane, so a
+// mirroring Concurrent.ServeSnapshots; refreshes quiesce the plane, so a
 // refreshed view is exact as of every previously acknowledged update.
 // Call before the plane is shared. Returns p for chaining.
 func (p *Pipelined) ServeSnapshots(maxStale time.Duration) *Pipelined {
@@ -475,8 +526,8 @@ func (p *Pipelined) barrierClone() *shardedSnapshot {
 
 // reader returns the snapshot view reads are answered from, refreshing
 // when it is both dirty and past the staleness bound; nil when
-// snapshot serving is off. Same protocol as Sharded.reader, with the
-// claim cursor as the version clock.
+// snapshot serving is off. Same protocol as Concurrent.reader, with
+// the claim cursor as the version clock.
 func (p *Pipelined) reader() *shardedSnapshot {
 	if !p.serving {
 		return nil
@@ -503,8 +554,8 @@ func (p *Pipelined) refresh() *shardedSnapshot {
 }
 
 // RefreshSnapshot forces a fresh quiesced serving view and returns it;
-// nil when serving is not enabled. Same contract as the locked
-// wrappers — freqd's POST /refresh lands here.
+// nil when serving is not enabled. Same contract as
+// Concurrent.RefreshSnapshot — freqd's POST /refresh lands here.
 func (p *Pipelined) RefreshSnapshot() ReadView {
 	if !p.serving {
 		return nil
@@ -543,8 +594,10 @@ func (p *Pipelined) SnapshotStats() SnapshotStats {
 }
 
 // Snapshot implements Snapshotter by merging a quiesced per-shard
-// clone set into one summary; see Sharded.Snapshot for the Merger
-// contract.
+// clone set into one summary: a single independent summary of the
+// whole stream, suitable for serialization or cross-node merging. It
+// panics unless the factory's summaries implement Snapshotter and
+// Merger.
 func (p *Pipelined) Snapshot() Summary {
 	views := p.SnapshotBarrier(nil)
 	merged := views[0]

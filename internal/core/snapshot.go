@@ -12,7 +12,7 @@ import "time"
 // and never blocks on anything.
 //
 // Snapshots are the serving primitive of this repository: the Concurrent
-// and Sharded wrappers answer Query/Estimate from a periodically
+// and Pipelined wrappers answer Query/Estimate from a periodically
 // refreshed snapshot so readers never wait on the ingest lock, and a
 // snapshot can be serialized (MarshalBinary) or merged elsewhere while
 // the parent keeps ingesting.
@@ -44,7 +44,7 @@ type ReadView interface {
 
 // SnapshotStats describes the serving snapshot of a wrapper with
 // snapshot reads enabled (Concurrent.ServeSnapshots,
-// Sharded.ServeSnapshots); the freqd /stats endpoint reports it.
+// Pipelined.ServeSnapshots); the freqd /stats endpoint reports it.
 type SnapshotStats struct {
 	// Serving reports whether snapshot serving is enabled.
 	Serving bool

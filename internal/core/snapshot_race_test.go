@@ -94,26 +94,28 @@ func TestConcurrentSnapshotReadsUnderIngest(t *testing.T) {
 func TestShardedSnapshotReadsUnderIngest(t *testing.T) {
 	stream := raceStream(t, 200_000)
 	for _, maxStale := range []time.Duration{0, 2 * time.Millisecond, time.Hour} {
-		s := core.NewSharded(8, func() core.Summary { return exact.New() }).ServeSnapshots(maxStale)
+		s := core.NewPipelined(8, func() core.Summary { return exact.New() }).ServeSnapshots(maxStale)
 		hammerSnapshotReads(t, s, stream)
 		s.RefreshSnapshot()
 		checkAgainstSequential(t, s, stream, int64(len(stream)/1000))
 		if st := s.SnapshotStats(); !st.Serving || st.AsOfN != int64(len(stream)) {
 			t.Fatalf("maxStale=%v: SnapshotStats = %+v, want serving view of full stream", maxStale, st)
 		}
+		s.Close()
 	}
 }
 
 // TestShardedSnapshotMergeUnderIngest takes merged whole-stream
-// snapshots (Sharded.Snapshot → per-shard clones folded by Merge) while
-// ingest is running: every merged clone must be a self-consistent
+// snapshots (Pipelined.Snapshot → per-shard barrier clones folded by
+// Merge) while ingest is running: every merged clone must be a self-consistent
 // Space-Saving summary (N equals its tracked mass plus nothing negative,
 // and its report is monotone in the threshold), and the final one must
 // obey the no-underestimate guarantee for the true heavy hitters.
 func TestShardedSnapshotMergeUnderIngest(t *testing.T) {
 	stream := raceStream(t, 200_000)
 	const k = 256
-	s := core.NewSharded(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	s := core.NewPipelined(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	defer s.Close()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -35,7 +35,7 @@ import (
 // idle tenants retain zero scratch — only as many tables exist as
 // there are concurrently-applying batches. Like Update itself, using a
 // summary concurrently is not safe; wrap with core.Concurrent or
-// core.Sharded.
+// core.Pipelined.
 type batchAgg struct {
 	// table[i] holds tag<<32 | count; count 0 marks an empty slot (live
 	// counts are ≥ 1, and maxAggChunk keeps counts inside 32 bits).

@@ -216,9 +216,8 @@ func BenchmarkMetricsObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkSetAdd measures the lock-free counter set against the
-// mutex Meter it replaced (see BenchmarkMeterContention in
-// internal/metrics) — the query-path contention satellite.
+// BenchmarkSetAdd measures the lock-free counter set under parallel
+// callers incrementing one key, the query path's access pattern.
 func BenchmarkSetAdd(b *testing.B) {
 	s := NewSet(NewRegistry(), "freq")
 	s.Add("queries.topk", 0)

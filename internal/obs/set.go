@@ -1,11 +1,10 @@
 package obs
 
-// Set replaces metrics.Meter on the serving path: a named-counter set
-// whose Add is lock-free (one atomic add after a lock-free map
-// lookup). It keeps the legacy dotted keys ("ingest.items",
-// "queries.topk") so the /stats JSON "counters" section is
-// byte-compatible with what Meter produced, while registering each
-// key with the Prometheus registry as freq_<key>_total.
+// Set is the serving path's named-counter set: Add is lock-free (one
+// atomic add after a lock-free map lookup). It keeps the dotted keys
+// ("ingest.items", "queries.topk") the /stats JSON "counters" section
+// reports, while registering each key with the Prometheus registry as
+// freq_<key>_total.
 //
 // The map is copy-on-write behind an atomic pointer: the steady state
 // (every key already created) never takes the mutex, and key creation

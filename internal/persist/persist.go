@@ -115,7 +115,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // Target is the wrapper surface a durable summary must expose:
-// core.Concurrent and core.Sharded both satisfy it.
+// core.Concurrent, core.Pipelined, and tenant.Table satisfy it.
 type Target interface {
 	core.Summary
 	core.BatchUpdater

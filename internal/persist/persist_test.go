@@ -301,13 +301,15 @@ func TestWeightedAndTurnstile(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointRestore: per-shard blobs restore into the same
-// shard layout; a different shard count is refused.
+// TestShardedCheckpointRestore: the sharded plane's per-shard blobs
+// restore into the same shard layout; a different shard count is
+// refused.
 func TestShardedCheckpointRestore(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Algo: "SSH", Fsync: FsyncAlways}
 	mk := func() core.Summary { return counters.NewSpaceSavingHeap(101) }
-	orig := core.NewSharded(4, mk)
+	orig := core.NewPipelined(4, mk)
+	defer orig.Close()
 	st, _ := recoverFresh(t, dir, opts, orig)
 	orig.PersistTo(st)
 	for _, b := range batchesOf(testStream(t, 12_000)) {
@@ -318,7 +320,8 @@ func TestShardedCheckpointRestore(t *testing.T) {
 	}
 	orig.UpdateBatch([]core.Item{1, 2, 3, 4, 5, 6, 7, 8})
 
-	rec := core.NewSharded(4, mk)
+	rec := core.NewPipelined(4, mk)
+	defer rec.Close()
 	st2, stats := recoverFresh(t, dir, opts, rec)
 	st2.Close()
 	if stats.CheckpointShards != 4 {
@@ -329,7 +332,9 @@ func TestShardedCheckpointRestore(t *testing.T) {
 	}
 
 	st3 := openStore(t, dir, opts)
-	if _, err := st3.Recover(core.NewSharded(2, mk)); err == nil {
+	two := core.NewPipelined(2, mk)
+	defer two.Close()
+	if _, err := st3.Recover(two); err == nil {
 		t.Fatal("restoring a 4-shard checkpoint into 2 shards must fail")
 	}
 }

@@ -82,8 +82,7 @@ func parseItem(s string) (core.Item, error) {
 // response is internally consistent; Name (optional) labels reported
 // items with token spellings; Counters (optional) counts query traffic
 // — an obs.Set, so concurrent query handlers never serialize on a
-// shared mutex the way the old metrics.Meter made them (Meter survives
-// in internal/metrics for the offline harness only).
+// shared mutex.
 type QueryHandlers struct {
 	View     func() core.ReadView
 	Name     func(core.Item) string

@@ -55,7 +55,7 @@ import (
 )
 
 // Target is what the server serves: a summary that is safe for
-// concurrent use and ingests batches. core.Concurrent and core.Sharded
+// concurrent use and ingests batches. core.Concurrent and core.Pipelined
 // (with ServeSnapshots enabled for lock-free reads) are the intended
 // implementations.
 type Target interface {
@@ -461,7 +461,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // the ingest lock, one clone) encoded through the registry wire format,
 // with the stream position and process epoch in headers. This is the
 // cluster fan-in primitive — a freqmerge coordinator pulls it from every
-// node and merges the blobs. For a Sharded target, Snapshot() already
+// node and merges the blobs. For a Pipelined target, Snapshot() already
 // merges the per-shard clones into one summary of the node's whole
 // stream, so the wire always carries exactly one blob per node.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {

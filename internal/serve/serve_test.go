@@ -432,13 +432,14 @@ func TestSummaryEndpoint(t *testing.T) {
 	}
 }
 
-// TestSummaryEndpointSharded: a sharded node ships one blob covering all
-// shards (Snapshot merges them), so the coordinator never needs to know
-// a node's internal shard count.
+// TestSummaryEndpointSharded: a sharded (pipelined) node ships one blob
+// covering all shards (Snapshot merges them), so the coordinator never
+// needs to know a node's internal shard count.
 func TestSummaryEndpointSharded(t *testing.T) {
-	target := core.NewSharded(4, func() core.Summary {
+	target := core.NewPipelined(4, func() core.Summary {
 		return streamfreq.MustNew("SSL", 0.01, 1)
 	}).ServeSnapshots(0)
+	defer target.Close()
 	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSL"})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

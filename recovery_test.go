@@ -71,8 +71,16 @@ func marshalState(t *testing.T, target persist.Target) []byte {
 }
 
 // checkCrashRecovery runs one kill-at-arbitrary-offset round for one
-// target factory and one truncation draw.
+// target factory and one truncation draw; the reference is a fresh
+// target fed the durable prefix.
 func checkCrashRecovery(t *testing.T, algo string, mkTarget func() persist.Target, cutSeed uint64) {
+	t.Helper()
+	checkCrashRecoveryRef(t, algo, mkTarget, mkTarget, cutSeed)
+}
+
+// checkCrashRecoveryRef is checkCrashRecovery with the reference that
+// is fed the durable prefix built by mkRef.
+func checkCrashRecoveryRef(t *testing.T, algo string, mkTarget, mkRef func() persist.Target, cutSeed uint64) {
 	t.Helper()
 	batches := crashStream(t)
 	dir := t.TempDir()
@@ -139,7 +147,7 @@ func checkCrashRecovery(t *testing.T, algo string, mkTarget func() persist.Targe
 	if durable > len(batches) {
 		t.Fatalf("recovered %d batches, only %d were ever ingested", durable, len(batches))
 	}
-	fresh := mkTarget()
+	fresh := mkRef()
 	for _, b := range batches[:durable] {
 		fresh.UpdateBatch(b)
 	}
@@ -181,21 +189,6 @@ func TestCrashRecoveryRegistry(t *testing.T) {
 				}, 0xABCD00+round*977+uint64(len(algo)))
 			})
 		}
-	}
-}
-
-// TestCrashRecoverySharded runs the same property through the Sharded
-// wrapper: the WAL logs pre-scatter batches, the checkpoint holds
-// per-shard blobs, and recovery re-scatters identically.
-func TestCrashRecoverySharded(t *testing.T) {
-	for round := uint64(0); round < 2; round++ {
-		t.Run(fmt.Sprintf("SSH-4shards/tear-%d", round), func(t *testing.T) {
-			checkCrashRecovery(t, "SSH", func() persist.Target {
-				return core.NewSharded(4, func() core.Summary {
-					return MustNew("SSH", 0.0025, 42)
-				})
-			}, 0xF00D+round)
-		})
 	}
 }
 

@@ -202,8 +202,8 @@ func TestSnapshotFidelityExtras(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotMergesShards pins Sharded.Snapshot's contract: the
-// merged clone is one independent summary of the whole stream. With the
+// TestShardedSnapshotMergesShards pins Pipelined.Snapshot's contract:
+// the merged clone is one independent summary of the whole stream. With the
 // exact counter inside, the merge must reproduce a sequential run bit
 // for bit — and keep reproducing it after the parent ingests more.
 func TestShardedSnapshotMergesShards(t *testing.T) {
@@ -211,7 +211,8 @@ func TestShardedSnapshotMergesShards(t *testing.T) {
 	probes := snapshotProbes(prefix)
 	threshold := int64(0.005 * float64(len(prefix)))
 
-	sh := NewSharded(4, func() Summary { return exact.New() })
+	sh := NewPipelined(4, func() Summary { return exact.New() })
+	defer sh.Close()
 	UpdateBatches(sh, prefix, 0)
 	snap := sh.Snapshot()
 
