@@ -18,6 +18,7 @@ package hash
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"streamfreq/internal/prng"
@@ -101,6 +102,7 @@ func (p Poly) K() int { return len(p.coeff) }
 type Bucket struct {
 	p     Poly
 	width uint64
+	recip uint64 // Barrett reciprocal ⌊(2^64−1)/width⌋, used by Sweep
 }
 
 // NewBucket returns a k-wise independent hash onto [0, width).
@@ -108,7 +110,8 @@ func NewBucket(k int, width int, seed uint64) Bucket {
 	if width <= 0 {
 		panic("hash: bucket width must be positive")
 	}
-	return Bucket{p: NewPoly(k, seed), width: uint64(width)}
+	w := uint64(width)
+	return Bucket{p: NewPoly(k, seed), width: w, recip: math.MaxUint64 / w}
 }
 
 // Hash returns the bucket index of x in [0, width).
@@ -118,6 +121,41 @@ func (b Bucket) Hash(x uint64) int {
 	// at most width/p < 2^-37 for any practical width, which is far below
 	// the sketch error terms.
 	return int(b.p.Hash(x) % b.width)
+}
+
+// Sweep writes the buckets of the contiguous run x0, x0+1, …,
+// x0+len(out)−1 into out, so out[i] == b.Hash(x0+i). The run must not
+// wrap past math.MaxUint64.
+//
+// For the pairwise (k=2) family h(x) = a·x + c mod p it evaluates h(x0)
+// once and then steps h(x+1) = h(x) + a mod p — exact across the field
+// boundary too, since x ≡ p−1 steps to 0 and a·(p−1) + c + a ≡ c. Each
+// field value v < 2^61 is mapped to [0, width) by Barrett reduction: the
+// quotient estimate ⌊v·recip/2^64⌋ is at most one below ⌊v/width⌋
+// (v < 2^64 bounds the error term below 1), so one conditional subtract
+// replaces the hardware divide of Hash's %. Other independences fall
+// back to Hash.
+func (b Bucket) Sweep(x0 uint64, out []int) {
+	if len(b.p.coeff) != 2 {
+		for i := range out {
+			out[i] = b.Hash(x0 + uint64(i))
+		}
+		return
+	}
+	a, w, m := b.p.coeff[1], b.width, b.recip
+	v := b.p.Hash(x0)
+	for i := range out {
+		hi, _ := bits.Mul64(v, m)
+		r := v - hi*w
+		if r >= w {
+			r -= w
+		}
+		out[i] = int(r)
+		v += a
+		if v >= MersennePrime {
+			v -= MersennePrime
+		}
+	}
 }
 
 // Width returns the bucket range.

@@ -3,6 +3,7 @@ package hash
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +218,83 @@ func Test4WisePolyStillUniform(t *testing.T) {
 			t.Errorf("bucket %d count %d deviates from %.0f", i, c, expected)
 		}
 	}
+}
+
+// checkSweep asserts Sweep(x0, out) equals Hash element by element.
+func checkSweep(t *testing.T, b Bucket, x0 uint64, n int) {
+	t.Helper()
+	out := make([]int, n)
+	b.Sweep(x0, out)
+	for i, got := range out {
+		if want := b.Hash(x0 + uint64(i)); got != want {
+			t.Fatalf("k=%d width=%d: Sweep(%d)[%d] = %d, Hash = %d", b.p.K(), b.width, x0, i, got, want)
+		}
+	}
+}
+
+// TestSweepMatchesHash is the equivalence wall behind the sketches'
+// swept descent: Barrett reduction and the stepped polynomial must give
+// exactly Hash's bucket for every element of a run, at every width.
+func TestSweepMatchesHash(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	widths := []int{1, 2, 3, 7, 255, 256, 2000, 1<<16 - 1, 1 << 16, 1<<20 - 1, 1 << 20}
+	for i := 0; i < 40; i++ {
+		widths = append(widths, 1+r.Intn(1<<20))
+	}
+	starts := []uint64{
+		0,
+		MersennePrime - 100, // crosses p: x mod p wraps to 0 mid-run
+		2*MersennePrime - 1,
+		math.MaxUint64 - 299, // ends at MaxUint64, crossing 8p = 2^64−8
+	}
+	for _, w := range widths {
+		seed := r.Uint64()
+		b := NewBucket(2, w, seed)
+		for _, x0 := range append(starts, r.Uint64()>>1, uint64(r.Uint32())<<8) {
+			checkSweep(t, b, x0, 300)
+		}
+	}
+	// Property check over random seeds, widths and starts.
+	f := func(seed, x0 uint64, w uint32, n uint16) bool {
+		width := 1 + int(w%(1<<20))
+		b := NewBucket(2, width, seed)
+		if x0 > math.MaxUint64-uint64(n) {
+			x0 = math.MaxUint64 - uint64(n)
+		}
+		out := make([]int, int(n%1024))
+		b.Sweep(x0, out)
+		for i, got := range out {
+			if got != b.Hash(x0+uint64(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: r}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSweepFallbackAndEdges(t *testing.T) {
+	// k≠2 takes the per-element Hash fallback.
+	for _, w := range []int{1, 97, 1 << 20} {
+		checkSweep(t, NewBucket(4, w, 5), math.MaxUint64-511, 512)
+		checkSweep(t, NewBucket(4, w, 5), MersennePrime-3, 64)
+	}
+	// A hand-built polynomial whose step lands exactly on p: the wrap
+	// must take it to 0 (random draws hit this with probability ~2^-61).
+	const a, x0 = uint64(12345), uint64(1000)
+	c := addmod(MersennePrime-a, MersennePrime-mulmod(a, x0)) // h(x0) = p − a
+	for _, w := range []int{1, 2000, 1 << 20} {
+		b := NewBucket(2, w, 1)
+		b.p = Poly{coeff: []uint64{c, a}}
+		if b.p.Hash(x0+1) != 0 {
+			t.Fatal("crafted polynomial does not reach 0 at x0+1")
+		}
+		checkSweep(t, b, x0, 16)
+	}
+	// A single-element run ending at MaxUint64, and an empty run.
+	b := NewBucket(2, 2000, 3)
+	checkSweep(t, b, math.MaxUint64, 1)
+	b.Sweep(0, nil)
 }

@@ -1,11 +1,11 @@
 package sketches
 
 // Query-path benchmarks of the hierarchy — the rich query surface's
-// CPU cost. HeavyPrefixes is the /v1/hhh handler's whole body;
-// RangeEstimate (the greedy dyadic cover) is /v1/range's. Both are
-// measured over a populated sketch at the serving operating point, so
-// the committed BENCH_*.json trajectory holds the endpoints' latency,
-// not just ingest throughput.
+// CPU cost. HeavyPrefixes is the /v1/hhh handler's whole body, Query
+// is /v1/topk's on a CMH node, and RangeEstimate (the greedy dyadic
+// cover) is /v1/range's. All are measured over a populated sketch at
+// the serving operating point, so the committed BENCH_*.json
+// trajectory holds the endpoints' latency, not just ingest throughput.
 
 import (
 	"testing"
@@ -37,6 +37,19 @@ func BenchmarkHHHQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rep := h.HeavyPrefixes(threshold); len(rep) == 0 {
 			b.Fatal("empty HHH report on a loaded sketch")
+		}
+	}
+}
+
+// BenchmarkHierarchyTopK is Query at the same operating point — the
+// CMH /v1/topk handler's compute.
+func BenchmarkHierarchyTopK(b *testing.B) {
+	h := benchHierarchy(b)
+	threshold := h.N() / 1000
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if top := h.Query(threshold); len(top) == 0 {
+			b.Fatal("empty top-k on a loaded sketch")
 		}
 	}
 }

@@ -103,7 +103,8 @@ func (c *CGT) Estimate(x core.Item) int64 {
 		xv &= (1 << c.universeBits) - 1
 	}
 	if c.neg {
-		vals := make([]int64, c.depth)
+		var buf [maxStackDepth]int64
+		vals := rowScratch(&buf, c.depth)
 		for i := 0; i < c.depth; i++ {
 			vals[i] = c.cells[c.base(i, c.family.Buckets[i].Hash(xv))]
 		}

@@ -12,7 +12,6 @@ package sketches
 
 import (
 	"math"
-	"sort"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/hash"
@@ -159,7 +158,8 @@ func (c *CountMin) updateConservative(x core.Item, count int64) {
 	xv := uint64(x)
 	// First pass: current estimate.
 	est := int64(math.MaxInt64)
-	idx := make([]int, c.depth)
+	var buf [maxStackDepth]int
+	idx := rowScratch(&buf, c.depth)
 	for i := range c.rows {
 		idx[i] = c.family.Buckets[i].Hash(xv)
 		if v := c.rows[i][idx[i]]; v < est {
@@ -198,11 +198,46 @@ func (c *CountMin) EstimateMin(x core.Item) int64 {
 
 func (c *CountMin) estimateMedian(x core.Item) int64 {
 	xv := uint64(x)
-	vals := make([]int64, c.depth)
+	var buf [maxStackDepth]int64
+	vals := rowScratch(&buf, c.depth)
 	for i := range c.rows {
 		vals[i] = c.rows[i][c.family.Buckets[i].Hash(xv)]
 	}
 	return median(vals)
+}
+
+// heavyRun appends to dst every item of the contiguous run x0 … x0+n−1
+// whose min estimate reaches threshold, with that estimate, in item
+// order — the result of calling EstimateMin on each, bit for bit. It
+// sweeps row 0 across the run (one polynomial step and a Barrett reduce
+// per item instead of a mulmod and a hardware divide) and drops every
+// item whose row-0 counter is below threshold, which is exact because
+// the row minimum never exceeds any single row. Only survivors hash the
+// remaining rows. Valid only for the min estimator: callers must check
+// !neg.
+func (c *CountMin) heavyRun(x0, n uint64, threshold int64, dst []core.ItemCount) []core.ItemCount {
+	var buf [256]int
+	row0, h0 := c.rows[0], c.family.Buckets[0]
+	for n > 0 {
+		idx := buf[:min(n, uint64(len(buf)))]
+		h0.Sweep(x0, idx)
+		for i, b := range idx {
+			est := row0[b]
+			if est < threshold {
+				continue
+			}
+			x := x0 + uint64(i)
+			for r := 1; r < c.depth; r++ {
+				est = min(est, c.rows[r][c.family.Buckets[r].Hash(x)])
+			}
+			if est >= threshold {
+				dst = append(dst, core.ItemCount{Item: core.Item(x), Count: est})
+			}
+		}
+		x0 += uint64(len(idx))
+		n -= uint64(len(idx))
+	}
+	return dst
 }
 
 // Query is not supported by a flat Count-Min sketch: it cannot enumerate
@@ -285,10 +320,31 @@ func (c *CountMin) Subtract(other core.Summary) error {
 	return nil
 }
 
+// maxStackDepth is the sketch depth up to which the per-row estimator
+// scratch lives in a fixed-size stack array; deeper sketches (far past
+// any δ in use) fall back to a heap slice.
+const maxStackDepth = 16
+
+// rowScratch returns depth per-row slots, backed by buf when they fit.
+func rowScratch[T int | int64](buf *[maxStackDepth]T, depth int) []T {
+	if depth <= maxStackDepth {
+		return buf[:depth]
+	}
+	return make([]T, depth)
+}
+
 // median returns the median of vals, averaging the two central values for
-// even lengths (rounding toward the lower). vals is modified.
+// even lengths (rounding toward the lower). vals is modified: it is
+// insertion-sorted, which for a sketch's handful of rows beats
+// sort.Slice and, unlike it, allocates nothing.
 func median(vals []int64) int64 {
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	for i := 1; i < len(vals); i++ {
+		v, j := vals[i], i
+		for ; j > 0 && vals[j-1] > v; j-- {
+			vals[j] = vals[j-1]
+		}
+		vals[j] = v
+	}
 	m := len(vals) / 2
 	if len(vals)%2 == 1 {
 		return vals[m]

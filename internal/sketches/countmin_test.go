@@ -1,6 +1,7 @@
 package sketches
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +240,35 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+// TestMedianMatchesSortedReference pins the insertion-sort median to the
+// sort.Slice median it replaced, on random row counts and values
+// (duplicates, negatives, even and odd lengths).
+func TestMedianMatchesSortedReference(t *testing.T) {
+	f := func(raw []int8, big bool) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		vals := make([]int64, len(raw))
+		for i, v := range raw {
+			vals[i] = int64(v)
+			if big {
+				vals[i] <<= 40
+			}
+		}
+		ref := append([]int64(nil), vals...)
+		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+		m := len(ref) / 2
+		want := ref[m]
+		if len(ref)%2 == 0 {
+			want = (ref[m-1] + ref[m]) / 2
+		}
+		return median(vals) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCountMinPropertyUpperBound(t *testing.T) {
 	f := func(items []uint8) bool {
 		cm := NewCountMin(3, 64, 99)
@@ -257,5 +287,27 @@ func TestCountMinPropertyUpperBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEstimatorsDoNotAllocate holds the per-row estimator scratch on the
+// stack: median estimates and conservative updates allocate nothing at
+// any depth up to maxStackDepth.
+func TestEstimatorsDoNotAllocate(t *testing.T) {
+	cs := NewCountSketch(maxStackDepth, 256, 1)
+	signed := NewCountMin(5, 256, 2)
+	signed.Update(7, -1) // switches to the median estimator
+	cmc := NewCountMinConservative(4, 256, 3)
+	cgt := NewCGT(5, 64, 32, 4)
+	cgt.Update(9, -1)
+	for name, op := range map[string]func(){
+		"CS.Estimate":        func() { cs.Estimate(42) },
+		"CM.estimateMedian":  func() { signed.Estimate(42) },
+		"CMC.Update":         func() { cmc.Update(42, 1) },
+		"CGT.Estimate (neg)": func() { cgt.Estimate(42) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
+		}
 	}
 }

@@ -110,7 +110,8 @@ func (c *CountSketch) UpdateBatch(items []core.Item) {
 // signed counter values.
 func (c *CountSketch) Estimate(x core.Item) int64 {
 	xv := uint64(x)
-	vals := make([]int64, c.depth)
+	var buf [maxStackDepth]int64
+	vals := rowScratch(&buf, c.depth)
 	for i := range c.rows {
 		vals[i] = c.rows[i][c.family.Buckets[i].Hash(xv)] * c.family.Signs[i].Hash(xv)
 	}

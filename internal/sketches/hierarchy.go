@@ -19,8 +19,23 @@ type pointSketch interface {
 // Sketch): one sketch per prefix granularity of the item universe. A
 // query walks down from the coarsest level, expanding only the prefixes
 // whose estimated weight reaches the threshold — the standard
-// divide-and-conquer search, with expected O((1/φ)·b·log_b(U)) estimate
-// evaluations for branching factor b.
+// divide-and-conquer search, with expected O((1/φ)·b·log_b(U)) child
+// estimates for branching factor b.
+//
+// The pruning bounds the number of child estimates; their unit cost sets
+// the latency. At the serving geometry (φ=0.001 → depth 4, width 2000,
+// b=256 over 64 bits) a 200k-item Zipf sketch has 234 heavy prefixes at
+// the top level and ~92–97 on each level below, so one descent estimates
+// 204k children. A per-child Estimate (an interface call, a mulmod and
+// a hardware divide per row, a mispredicted row minimum) costs ~60 ns:
+// ~13 ms per query. Insert-only Count-Min levels instead take a swept
+// kernel (CountMin.heavyRun): row 0 is evaluated by stepping the
+// polynomial across each 256-child run with a Barrett reduction, and
+// only the ~6% of children whose row-0 counter clears the threshold
+// touch the other rows — ~9 ns per child, ~2 ms per Query or
+// HeavyPrefixes (BenchmarkHierarchyTopK, BenchmarkHHHQuery, 2-vCPU
+// Xeon). Count Sketch and signed Count-Min levels keep per-child
+// Estimate.
 //
 // Because Count-Min never underestimates, a CM hierarchy has perfect
 // recall; a Count-Sketch hierarchy (two-sided error) can miss items whose
@@ -172,45 +187,63 @@ func (h *Hierarchical) Estimate(x core.Item) int64 {
 }
 
 // Query descends the dyadic tree, returning the items whose level-0
-// estimate reaches threshold, in descending estimate order.
+// estimate reaches threshold, in descending estimate order. The counts
+// are the estimates the descent computed at level 0.
 func (h *Hierarchical) Query(threshold int64) []core.ItemCount {
+	out := h.descend(threshold)[0]
+	if out == nil {
+		out = []core.ItemCount{}
+	}
+	core.SortByCountDesc(out)
+	return out
+}
+
+// descend is the top-down frontier walk Query and HeavyPrefixes share.
+// It returns, per level, every prefix whose estimate reaches threshold
+// (at least 1) together with that estimate, in ascending prefix order;
+// below the coarsest level only children of reported prefixes are
+// estimated, and a level's report is capped at maxCandidates. It reads
+// the level sketches only, so concurrent calls on one frozen hierarchy
+// are safe.
+func (h *Hierarchical) descend(threshold int64) [][]core.ItemCount {
 	if threshold <= 0 {
 		// A non-positive threshold would force full-universe enumeration.
 		threshold = 1
 	}
 	top := len(h.levels) - 1
 	topWidth := h.universeBits - uint(top)*h.bits // ≤ h.bits by construction
-	frontier := make([]uint64, 0, 1<<topWidth)
-	for p := uint64(0); p < 1<<topWidth; p++ {
-		if h.levels[top].Estimate(core.Item(p)) >= threshold {
-			frontier = append(frontier, p)
-		}
-	}
+	perLevel := make([][]core.ItemCount, len(h.levels))
+	perLevel[top] = h.heavyRun(top, 0, 1<<topWidth, threshold, nil)
 	for j := top - 1; j >= 0; j-- {
-		next := frontier[:0:0]
-		for _, p := range frontier {
-			base := p << h.bits
-			for c := uint64(0); c < 1<<h.bits; c++ {
-				child := base | c
-				if h.levels[j].Estimate(core.Item(child)) >= threshold {
-					next = append(next, child)
-				}
-			}
+		var next []core.ItemCount
+		for _, p := range perLevel[j+1] {
+			next = h.heavyRun(j, uint64(p.Item)<<h.bits, 1<<h.bits, threshold, next)
 			if len(next) > h.maxCandidates {
+				next = next[:h.maxCandidates]
 				break
 			}
 		}
-		frontier = next
-		if len(frontier) > h.maxCandidates {
-			frontier = frontier[:h.maxCandidates]
+		perLevel[j] = next
+	}
+	return perLevel
+}
+
+// heavyRun appends to dst every prefix in the run x0 … x0+n−1 whose
+// level-j estimate reaches threshold. Insert-only Count-Min levels take
+// the swept, row-0-filtered kernel; Count-Min levels on the median
+// estimator (signed, after Subtract) and Count Sketch levels estimate
+// child by child.
+func (h *Hierarchical) heavyRun(j int, x0, n uint64, threshold int64, dst []core.ItemCount) []core.ItemCount {
+	s := h.levels[j]
+	if cm, ok := s.(*CountMin); ok && !cm.neg && !cm.conservative {
+		return cm.heavyRun(x0, n, threshold, dst)
+	}
+	for c := uint64(0); c < n; c++ {
+		if est := s.Estimate(core.Item(x0 + c)); est >= threshold {
+			dst = append(dst, core.ItemCount{Item: core.Item(x0 + c), Count: est})
 		}
 	}
-	out := make([]core.ItemCount, 0, len(frontier))
-	for _, p := range frontier {
-		out = append(out, core.ItemCount{Item: core.Item(p), Count: h.levels[0].Estimate(core.Item(p))})
-	}
-	core.SortByCountDesc(out)
-	return out
+	return dst
 }
 
 // Clone returns an independent deep copy, cloning every level sketch
