@@ -15,10 +15,14 @@ package streamfreq
 // checked across batch lengths that do and do not divide the stream.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"streamfreq/internal/core"
 	"streamfreq/internal/exact"
+	"streamfreq/internal/hash"
+	"streamfreq/internal/sketches"
 	"streamfreq/internal/zipf"
 )
 
@@ -205,5 +209,124 @@ func TestUpdateAllFallback(t *testing.T) {
 	UpdateAll(s, stream)
 	if got, want := s.N(), int64(len(stream)); got != want {
 		t.Fatalf("UpdateAll fallback: N = %d, want %d", got, want)
+	}
+}
+
+// checkInvariants runs the structural invariant check of s — of its
+// inner sketch when s is a Tracked wrapper — when it has one.
+func checkInvariants(t *testing.T, label string, s Summary) {
+	t.Helper()
+	if tr, ok := s.(*core.Tracked); ok {
+		s = tr.Inner()
+	}
+	if c, ok := s.(interface{ Check() error }); ok {
+		if err := c.Check(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+}
+
+// sketchState is the encoded sketch state of s. A Tracked wrapper
+// contributes its inner sketch only: its admission heap may legitimately
+// differ from scalar replay in the sub-threshold tail (see
+// Tracked.UpdateBatch), the sketch may not.
+func sketchState(t *testing.T, label string, s Summary) []byte {
+	t.Helper()
+	if tr, ok := s.(*core.Tracked); ok {
+		s = tr.Inner()
+	}
+	return marshal(t, label, s)
+}
+
+// distinctItems returns n distinct scrambled identifiers starting at
+// rank from.
+func distinctItems(from, n int) []Item {
+	out := make([]Item, n)
+	for i := range out {
+		out[i] = Item(hash.Mix64(uint64(from + i)))
+	}
+	return out
+}
+
+// feedBatches ingests stream through UpdateAll in consecutive batches of
+// the given lengths, then in DefaultBatchSize batches.
+func feedBatches(s Summary, stream []Item, lens []int) {
+	for _, n := range lens {
+		n = min(n, len(stream))
+		UpdateAll(s, stream[:n])
+		stream = stream[n:]
+	}
+	UpdateBatches(s, stream, DefaultBatchSize)
+}
+
+// TestBatchScalarStateIdentical: the linear sketches' batch paths
+// collapse each batch to (item, count) pairs, re-collapse a hierarchy's
+// coarsest level, and reorder row writes — all exact for an integer-sum
+// sketch — so batched and scalar ingest must leave byte-identical
+// encoded state, not only equal answers. The cases are the collapse's
+// edges: no repeats at all, one item repeated a whole batch, batch
+// lengths just past the aggregation table's growth boundary (a table
+// sized for a 4096-item batch holds 8192 slots and grows on the
+// 4097-item batch after it), and, for the summaries with a universe
+// width, items that differ only above the universe bits (they collapse
+// as distinct pairs and must land on identical cells).
+func TestBatchScalarStateIdentical(t *testing.T) {
+	const phi = 0.005
+	const seed = 42
+	repeated := make([]Item, DefaultBatchSize)
+	for i := range repeated {
+		repeated[i] = 0xC0FFEE
+	}
+	cases := []struct {
+		name   string
+		stream []Item
+		lens   []int
+	}{
+		{"all-distinct", distinctItems(0, DefaultBatchSize), nil},
+		{"repeated", repeated, nil},
+		{"growth", distinctItems(0, 3*DefaultBatchSize+2), []int{DefaultBatchSize, DefaultBatchSize + 1, 2*DefaultBatchSize + 1}},
+		{"skewed", equivStreams(t)["skewed"], []int{1, 7, 1024}},
+	}
+	check := func(label string, mk func() Summary, stream []Item, lens []int) {
+		t.Helper()
+		scalar, batched := mk(), mk()
+		for _, it := range stream {
+			scalar.Update(it, 1)
+		}
+		feedBatches(batched, stream, lens)
+		if got, want := sketchState(t, label, batched), sketchState(t, label, scalar); !bytes.Equal(got, want) {
+			t.Fatalf("%s: batched and scalar ingest encode differently (%d vs %d bytes)", label, len(got), len(want))
+		}
+		checkInvariants(t, label+"/scalar", scalar)
+		checkInvariants(t, label+"/batched", batched)
+	}
+	for _, algo := range []string{"CM", "CS", "CMH", "CSH", "CGT"} {
+		for _, c := range cases {
+			check(algo+"/"+c.name, func() Summary { return MustNew(algo, phi, seed) }, c.stream, c.lens)
+		}
+	}
+
+	// Narrow universes: 64 base items, each arriving under many distinct
+	// high-bit patterns above bit 20.
+	narrow := make([]Item, 5*DefaultBatchSize)
+	for i := range narrow {
+		narrow[i] = Item(uint64(i%64)<<8 | hash.Mix64(uint64(i))<<20)
+	}
+	hierarchy := func(build func(sketches.HierarchyConfig) (*sketches.Hierarchical, error)) func() Summary {
+		return func() Summary {
+			h, err := build(sketches.HierarchyConfig{Depth: 4, Width: 256, Bits: 8, UniverseBits: 20, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+	}
+	narrowSummaries := map[string]func() Summary{
+		"CMH": hierarchy(sketches.NewCountMinHierarchy),
+		"CSH": hierarchy(sketches.NewCountSketchHierarchy),
+		"CGT": func() Summary { return sketches.NewCGT(4, 256, 20, seed) },
+	}
+	for name, mk := range narrowSummaries {
+		check(name+"/universe-bits=20", mk, narrow, []int{1, 999})
 	}
 }

@@ -105,21 +105,15 @@ func (f *Frequent) Update(x core.Item, count int64) {
 // units, always within the n/(k+1) deficit bound both replays
 // guarantee (see querySlack in the root package's batch_test.go).
 func (f *Frequent) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		f.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	f.applyBatch(items)
+	core.Collapse(items, f.addPairs)
 }
 
-func (f *Frequent) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		f.Update(a.pair(i))
+// addPairs applies each collapsed (item, count) pair as one weighted
+// Update, in first-appearance order.
+func (f *Frequent) addPairs(items []core.Item, counts []int64) {
+	for k, x := range items {
+		f.Update(x, counts[k])
 	}
-	a.release()
-	putAgg(a)
 }
 
 // Estimate returns the Misra–Gries lower-bound estimate of x's count
@@ -187,7 +181,8 @@ func (f *Frequent) Entries() []core.ItemCount {
 }
 
 // Bytes implements core.Summary. Batch pre-aggregation scratch is
-// pooled across summaries (see batch.go) and not charged per instance.
+// pooled across summaries (see core.Collapse) and not charged per
+// instance.
 func (f *Frequent) Bytes() int { return entryBytes * f.k }
 
 // Merge combines another Frequent summary into this one using the

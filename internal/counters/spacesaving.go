@@ -117,21 +117,15 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 // aggregated replay exactly as for the scalar one, since a weighted
 // update is the unit rule applied with the arrivals adjacent.
 func (s *SpaceSavingHeap) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		s.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	s.applyBatch(items)
+	core.Collapse(items, s.addPairs)
 }
 
-func (s *SpaceSavingHeap) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		s.Update(a.pair(i))
+// addPairs applies each collapsed (item, count) pair as one weighted
+// Update, in first-appearance order.
+func (s *SpaceSavingHeap) addPairs(items []core.Item, counts []int64) {
+	for k, x := range items {
+		s.Update(x, counts[k])
 	}
-	a.release()
-	putAgg(a)
 }
 
 // Estimate returns the (over-)estimate for tracked items and the global
@@ -192,7 +186,7 @@ func (s *SpaceSavingHeap) Entries() []core.ItemCount {
 
 // Bytes implements core.Summary: the exact flat-storage footprint
 // (nodes + id heap + index). Batch pre-aggregation scratch is pooled
-// across summaries (see batch.go) and no longer charged per instance.
+// across summaries (see core.Collapse) and not charged per instance.
 func (s *SpaceSavingHeap) Bytes() int { return ssBlockBytes(s.k) }
 
 // Merge combines another Space-Saving summary into this one following

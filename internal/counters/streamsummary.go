@@ -173,21 +173,15 @@ func (s *SpaceSavingList) Update(x core.Item, count int64) {
 // item per batch — and a weighted relink skips the intermediate buckets
 // a unit-at-a-time walk would have created and destroyed.
 func (s *SpaceSavingList) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		s.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	s.applyBatch(items)
+	core.Collapse(items, s.addPairs)
 }
 
-func (s *SpaceSavingList) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		s.Update(a.pair(i))
+// addPairs applies each collapsed (item, count) pair as one weighted
+// Update, in first-appearance order.
+func (s *SpaceSavingList) addPairs(items []core.Item, counts []int64) {
+	for k, x := range items {
+		s.Update(x, counts[k])
 	}
-	a.release()
-	putAgg(a)
 }
 
 // Estimate mirrors SpaceSavingHeap.Estimate.
@@ -270,8 +264,8 @@ func (s *SpaceSavingList) Snapshot() core.Summary { return s.Clone() }
 
 // Bytes accounts the entry payload plus the two extra pointers per entry
 // and the bucket nodes (charged one per entry, the worst case). Batch
-// pre-aggregation scratch is pooled across summaries (see batch.go) and
-// not charged per instance.
+// pre-aggregation scratch is pooled across summaries (see
+// core.Collapse) and not charged per instance.
 func (s *SpaceSavingList) Bytes() int {
 	const listEntry = 2 * (8 + 8 + 8 + 8 + 8 + 8) // item, err, bucket ptr, 2 links + bucket share
 	return listEntry * s.k

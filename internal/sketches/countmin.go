@@ -11,6 +11,7 @@
 package sketches
 
 import (
+	"fmt"
 	"math"
 
 	"streamfreq/internal/core"
@@ -126,13 +127,11 @@ func (c *CountMin) Update(x core.Item, count int64) {
 	}
 }
 
-// UpdateBatch implements core.BatchUpdater for unit-count arrivals by
-// processing the batch row by row: the row slice and its hash function
-// are loaded once per row instead of once per arrival, and all writes of
-// a row land in the same w-counter window, which keeps the touched
-// cache lines resident across the batch (the scalar path cycles through
-// all d rows between consecutive touches of any one row). Because the
-// sketch is linear, the reordering is exact.
+// UpdateBatch implements core.BatchUpdater for unit-count arrivals: the
+// batch is collapsed to one (item, count) pair per distinct item (see
+// core.Collapse) and addPairs applies the pairs row by row. Because the
+// sketch is linear, c repeats of an item are exactly one +c, so the
+// result is bit-identical to the scalar Update loop.
 //
 // Conservative sketches are not linear — each arrival's write depends on
 // the estimate at that arrival — so they keep per-arrival processing.
@@ -143,12 +142,26 @@ func (c *CountMin) UpdateBatch(items []core.Item) {
 		}
 		return
 	}
-	c.n += int64(len(items))
+	core.Collapse(items, c.addPairs)
+}
+
+// addPairs adds counts[k] occurrences of items[k] for every k, row by
+// row: the row slice and its hash function are loaded once per row
+// instead of once per pair, and all writes of a row land in the same
+// w-counter window, which keeps the touched cache lines resident across
+// the batch (the scalar path cycles through all d rows between
+// consecutive touches of any one row). Valid only for the linear
+// (non-conservative) sketch.
+func (c *CountMin) addPairs(items []core.Item, counts []int64) {
+	counts = counts[:len(items)]
+	for _, cnt := range counts {
+		c.n += cnt
+	}
 	for i := range c.rows {
 		row := c.rows[i]
 		h := c.family.Buckets[i]
-		for _, x := range items {
-			row[h.Hash(uint64(x))]++
+		for k, x := range items {
+			row[h.Hash(uint64(x))] += counts[k]
 		}
 	}
 }
@@ -238,6 +251,28 @@ func (c *CountMin) heavyRun(x0, n uint64, threshold int64, dst []core.ItemCount)
 		n -= uint64(len(idx))
 	}
 	return dst
+}
+
+// Check verifies the sketch's structural invariants (the tests run it
+// after ingest and merge). Every arrival adds its count to
+// exactly one counter per row, so each row of the linear sketch sums to
+// N — also after merges, subtractions, and deletions. A conservative
+// row is raised by at most the arrival's count, so it sums to at most
+// N; and while no deletion has been ingested no counter is negative.
+func (c *CountMin) Check() error {
+	for i, row := range c.rows {
+		var sum int64
+		for _, v := range row {
+			if v < 0 && !c.neg {
+				return fmt.Errorf("sketches: Count-Min row %d holds %d on an insert-only stream", i, v)
+			}
+			sum += v
+		}
+		if sum != c.n && !(c.conservative && sum < c.n) {
+			return fmt.Errorf("sketches: Count-Min row %d sums to %d, N = %d", i, sum, c.n)
+		}
+	}
+	return nil
 }
 
 // Query is not supported by a flat Count-Min sketch: it cannot enumerate

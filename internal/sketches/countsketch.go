@@ -89,19 +89,29 @@ func (c *CountSketch) Update(x core.Item, count int64) {
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals,
-// processing row by row with the row slice, bucket hash, and sign hash
-// hoisted out of the item loop (see CountMin.UpdateBatch for why the
-// row-major order is also the cache-friendly one). Linearity makes the
-// reordering exact.
+// collapsing the batch to (item, count) pairs and applying them with
+// addPairs (see CountMin.UpdateBatch). Linearity makes the collapse and
+// the reordering exact.
 func (c *CountSketch) UpdateBatch(items []core.Item) {
-	c.n += int64(len(items))
+	core.Collapse(items, c.addPairs)
+}
+
+// addPairs adds counts[k] occurrences of items[k] for every k, row by
+// row, with the row slice, bucket hash, and sign hash hoisted out of the
+// pair loop (see CountMin.addPairs for why the row-major order is also
+// the cache-friendly one).
+func (c *CountSketch) addPairs(items []core.Item, counts []int64) {
+	counts = counts[:len(items)]
+	for _, cnt := range counts {
+		c.n += cnt
+	}
 	for i := range c.rows {
 		row := c.rows[i]
 		h := c.family.Buckets[i]
 		sg := c.family.Signs[i]
-		for _, x := range items {
+		for k, x := range items {
 			xv := uint64(x)
-			row[h.Hash(xv)] += sg.Hash(xv)
+			row[h.Hash(xv)] += counts[k] * sg.Hash(xv)
 		}
 	}
 }

@@ -315,7 +315,15 @@ func DecodeHierarchical(data []byte) (*Hierarchical, error) {
 			err error
 		)
 		if h.name == "CMH" {
-			s, err = DecodeCountMin(blob)
+			var cm *CountMin
+			cm, err = DecodeCountMin(blob)
+			if err == nil && cm.conservative {
+				// The hierarchy's batch path collapses duplicates, which
+				// is exact only for linear levels; no constructor builds
+				// a conservative one.
+				err = fmt.Errorf("conservative Count-Min level")
+			}
+			s = cm
 		} else {
 			s, err = DecodeCountSketch(blob)
 		}

@@ -190,3 +190,25 @@ func TestHierarchyDecodeRejectsTruncatedLevel(t *testing.T) {
 		t.Error("expected truncated-level error")
 	}
 }
+
+// TestHierarchyDecodeRejectsConservativeLevel: no constructor builds a
+// hierarchy over conservative Count-Min, whose updates are not linear
+// and so cannot take the hierarchy's collapsed batch path; a blob
+// claiming one is rejected.
+func TestHierarchyDecodeRejectsConservativeLevel(t *testing.T) {
+	cfg := HierarchyConfig{Depth: 2, Width: 64, Bits: 8, UniverseBits: 16, Seed: 1}
+	h, err := newHierarchy(cfg, "CMH", func(_ int, seed uint64) pointSketch {
+		return NewCountMinConservative(cfg.Depth, cfg.Width, seed)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Update(3, 5)
+	blob, err := h.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeHierarchical(blob); err == nil {
+		t.Error("hierarchy decoder accepted a conservative Count-Min level")
+	}
+}

@@ -12,6 +12,8 @@ type pointSketch interface {
 	core.Summary
 	core.Merger
 	core.Subtractor
+	// addPairs adds counts[k] occurrences of items[k] for every k.
+	addPairs(items []core.Item, counts []int64)
 }
 
 // Hierarchical answers heavy-hitter queries from a sketch by the dyadic
@@ -37,6 +39,16 @@ type pointSketch interface {
 // Xeon). Count Sketch and signed Count-Min levels keep per-child
 // Estimate.
 //
+// Updates are the expensive side: an arrival touches d rows on each of
+// the L = ⌈universeBits/bits⌉ levels, 32 hashed increments at the
+// serving geometry (d=4, L=8). The levels are linear, so UpdateBatch
+// collapses the batch to (item, count) pairs first and pays those d·L
+// increments per distinct item per batch, not per arrival; the
+// byte-wide top level, with at most 256 prefixes, is collapsed further.
+// On 4096-item batches of a Zipf z=1.0 stream (~60% distinct per batch)
+// that took BenchmarkUpdateBatch/CMH from 317 to 201 ns per item and
+// CSH from 633 to 434 (medians of 10 same-run pairs, 2-vCPU Xeon).
+//
 // Because Count-Min never underestimates, a CM hierarchy has perfect
 // recall; a Count-Sketch hierarchy (two-sided error) can miss items whose
 // prefix estimates dip below threshold, the recall gap the paper's sketch
@@ -50,11 +62,6 @@ type Hierarchical struct {
 	// maxCandidates caps the per-level frontier to bound worst-case query
 	// work on adversarial thresholds.
 	maxCandidates int
-	// scratch holds per-level prefix buffers between UpdateBatch calls
-	// (retained like other batch implementations' scratch state; a single
-	// hierarchy's batch path is not safe for concurrent use, exactly like
-	// Update).
-	scratch []core.Item
 }
 
 // HierarchyConfig parameterizes a Hierarchical sketch.
@@ -149,32 +156,80 @@ func (h *Hierarchical) Update(x core.Item, count int64) {
 	}
 }
 
-// UpdateBatch implements core.BatchUpdater: for each level it rewrites
-// the batch into that level's prefixes in a retained scratch buffer and
-// feeds it through the level sketch's native batch path, so the per-row
-// hash-state hoisting of the flat sketches applies per level. The level
-// sketches are linear, so the result is bit-identical to the scalar
-// Update loop.
+// UpdateBatch implements core.BatchUpdater: the batch is collapsed once
+// to (item, count) pairs (see core.Collapse) and addPairs feeds every
+// level its prefixes with their counts. The level sketches are linear,
+// so the result is bit-identical to the scalar Update loop.
 func (h *Hierarchical) UpdateBatch(items []core.Item) {
-	if len(items) == 0 {
-		return
+	core.Collapse(items, h.addPairs)
+}
+
+// addPairs masks the collapsed items to the universe in place — pairs
+// that agree on the universe bits then land on identical cells — and
+// walks the levels finest first, feeding each level sketch's row-major
+// kernel and shifting the items to the next level's prefixes in place.
+//
+// The coarsest level is re-collapsed when its prefixes fit a stack
+// array: a 4096-item Zipf batch keeps ~2000 distinct items, but a
+// byte-wide top level has at most 256 prefixes, so summing by direct
+// index first cuts that level's hashed increments ~8×
+// (BenchmarkUpdateBatch CMH and CSH got faster in 15 and 13 of 16
+// same-run pairs). The next level down has 65536 possible prefixes,
+// which a scrambled batch barely repeats, so it is not re-collapsed.
+func (h *Hierarchical) addPairs(items []core.Item, counts []int64) {
+	for _, cnt := range counts {
+		h.n += cnt
 	}
-	if cap(h.scratch) < len(items) {
-		h.scratch = make([]core.Item, len(items))
-	}
-	buf := h.scratch[:len(items)]
-	mask := ^uint64(0)
 	if h.universeBits < 64 {
-		mask = uint64(1)<<h.universeBits - 1
-	}
-	for j, s := range h.levels {
-		shift := uint(j) * h.bits
-		for i, x := range items {
-			buf[i] = core.Item(uint64(x) & mask >> shift)
+		mask := core.Item(1)<<h.universeBits - 1
+		for i := range items {
+			items[i] &= mask
 		}
-		core.UpdateAll(s, buf)
 	}
-	h.n += int64(len(items))
+	top := len(h.levels) - 1
+	for j, s := range h.levels {
+		if j > 0 {
+			for i := range items {
+				items[i] >>= h.bits
+			}
+		}
+		if j == top && h.universeBits-uint(top)*h.bits <= topCollapseBits && len(items) > 1<<topCollapseBits {
+			var sums [1 << topCollapseBits]int64
+			for k, p := range items {
+				sums[p] += counts[k]
+			}
+			items, counts = items[:0], counts[:0]
+			for p, c := range sums {
+				if c != 0 {
+					items = append(items, core.Item(p))
+					counts = append(counts, c)
+				}
+			}
+		}
+		s.addPairs(items, counts)
+	}
+}
+
+// topCollapseBits is the widest coarsest level, in prefix bits, whose
+// pairs addPairs re-collapses by direct index.
+const topCollapseBits = 8
+
+// Check verifies the hierarchy's structural invariants (the tests run
+// it after ingest and merge): every arrival reaches every level,
+// so each level's N equals the hierarchy's N, and each level sketch
+// passes its own Check when it has one.
+func (h *Hierarchical) Check() error {
+	for j, s := range h.levels {
+		if s.N() != h.n {
+			return fmt.Errorf("sketches: hierarchy level %d has N = %d, want %d", j, s.N(), h.n)
+		}
+		if c, ok := s.(interface{ Check() error }); ok {
+			if err := c.Check(); err != nil {
+				return fmt.Errorf("sketches: hierarchy level %d: %w", j, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Estimate returns the full-resolution (level-0) estimate.

@@ -102,6 +102,9 @@ func TestMergeEncodedFidelityRegistry(t *testing.T) {
 			if merged.N() != n {
 				t.Fatalf("merged N = %d, want %d", merged.N(), n)
 			}
+			checkInvariants(t, algo+"/a", a)
+			checkInvariants(t, algo+"/b", b)
+			checkInvariants(t, algo+"/merged", merged)
 
 			// (1) Wire fidelity: merging through blobs re-encodes to the
 			// same bytes as merging the live summaries (Encode is
