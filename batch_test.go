@@ -9,10 +9,12 @@ package streamfreq
 // and true-heaviest items.
 //
 // Batch implementations pre-aggregate duplicates, so within a batch an
-// item's arrivals are applied where it first appears. The comparison is
-// bit-exact for every algorithm except Misra–Gries, whose decrement
-// schedule is genuinely order-sensitive (see checkEquivalence), and is
-// checked across batch lengths that do and do not divide the stream.
+// item's arrivals are applied together, where it first appears (SSH
+// applies its newcomers after the tracked items, to the counters tied
+// at the minimum). The comparison is bit-exact for every algorithm
+// except Misra–Gries, whose decrement schedule is genuinely
+// order-sensitive (see checkEquivalence), and is checked across batch
+// lengths that do and do not divide the stream.
 
 import (
 	"bytes"
@@ -50,8 +52,10 @@ func equivStreams(t testing.TB) map[string][]Item {
 // querySlack returns the count tolerance for one algorithm's batched-
 // vs-scalar comparison. It is 0 — bit-exact — for every algorithm except
 // Misra–Gries ("F"): the linear sketches are exactly reorder-invariant,
-// a Space-Saving weighted update is the unit rule with the arrivals
-// adjacent, and the fallback algorithms run the identical scalar path.
+// Space-Saving's batch paths only permute the batch's arrivals and
+// choose among counters tied at the minimum (at the εn floor, below
+// the φn report), and the fallback algorithms run the identical scalar
+// path.
 // MG's eviction decrement is min(count, current minimum), so moving an
 // item's arrivals relative to the evolving minimum (which aggregation
 // does) can shift its decrement total by a few units; both runs still
@@ -79,6 +83,10 @@ func querySlack(algo string, streamLen int, phi float64) int64 {
 // order stabilizes.
 func checkEquivalence(t *testing.T, label string, scalar, batched Summary, stream []Item, phi float64, slack int64) {
 	t.Helper()
+	for _, s := range []Summary{scalar, batched} {
+		checkInvariants(t, label, s)
+		checkUpdateFed(t, label, s)
+	}
 	if got, want := batched.N(), scalar.N(); got != want {
 		t.Fatalf("%s: N: batched %d, scalar %d", label, got, want)
 	}
@@ -223,6 +231,33 @@ func checkInvariants(t *testing.T, label string, s Summary) {
 		if err := c.Check(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+	}
+}
+
+// checkUpdateFed asserts two exact invariants of a Space-Saving summary
+// fed only by updates, scalar or batched: a replacement inherits its
+// victim's count, so Σcount = N; and an error is the minimum at its
+// replacement, which never falls, so every err ≤ Min(). (A merged
+// summary satisfies neither; other summaries are skipped.)
+func checkUpdateFed(t *testing.T, label string, s Summary) {
+	t.Helper()
+	ss, ok := s.(interface {
+		Min() int64
+		GuaranteedCount(Item) int64
+		Entries() []ItemCount
+	})
+	if !ok || (s.Name() != "SSH" && s.Name() != "SSL") {
+		return
+	}
+	var sum int64
+	for _, ic := range ss.Entries() {
+		sum += ic.Count
+		if err := ic.Count - ss.GuaranteedCount(ic.Item); err > ss.Min() {
+			t.Fatalf("%s: item %d carries err %d above Min() %d", label, ic.Item, err, ss.Min())
+		}
+	}
+	if sum != s.N() {
+		t.Fatalf("%s: Σcount = %d, N = %d", label, sum, s.N())
 	}
 }
 

@@ -133,8 +133,10 @@ func BenchmarkUpdateBatch(b *testing.B) {
 // index-map + heap-sift round trip, so the speedup tracks the in-batch
 // duplicate fraction (40% at z=1.0, 91% at z=1.5 — the skew regime of
 // the paper's real HTTP/UDP traces). The residual per-*distinct* cost
-// is SpaceSavingHeap.Update itself, which batching pays once per
-// distinct item per batch, identically to scalar.
+// is cheaper than a scalar Update too: tracked items pay one index
+// lookup and one sift, and the newcomers that replace the minimum take
+// the counters tied at it bottom-up, with no sift through the tie (see
+// SpaceSavingHeap.addPairs).
 func BenchmarkUpdateBatchSharded(b *testing.B) {
 	for _, z := range []float64{1.0, 1.5} {
 		stream := benchStream(b, z)

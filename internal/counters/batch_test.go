@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -85,10 +86,16 @@ func TestSpaceSavingHeapBatch(t *testing.T) {
 	for _, it := range stream {
 		scalar.Update(it, 1)
 	}
+	truth := make(map[core.Item]int64)
+	for _, it := range stream {
+		truth[it]++
+	}
 	for _, batch := range []int{1, 13, 256, 4096} {
 		batched := NewSpaceSavingHeap(k)
 		core.UpdateBatches(batched, stream, batch)
-		checkSpaceSavingBatch(t, fmt.Sprintf("SSH/batch=%d", batch), scalar, batched, stream, k)
+		label := fmt.Sprintf("SSH/batch=%d", batch)
+		checkSpaceSavingBatch(t, label, scalar, batched, stream, k)
+		checkSpaceSavingKernel(t, label, batched, truth)
 	}
 }
 
@@ -166,5 +173,152 @@ func TestBatchAggScratchReuse(t *testing.T) {
 	s.UpdateBatch(nil)
 	if got := s.N(); got != 7 {
 		t.Fatalf("N after empty batch = %d, want 7", got)
+	}
+}
+
+// checkSpaceSavingKernel asserts what an update-fed SSH must satisfy
+// after any mix of scalar and batched ingest: Check(); the two exact
+// invariants of replacement (Σcount = N, since a victim's count is
+// inherited, and every err ≤ Min(), since an err is the minimum at its
+// replacement and the minimum never falls); the one-sided estimate
+// envelope true ≤ est ≤ true + Min() against exact counts; and recall
+// of every item above N/k.
+func checkSpaceSavingKernel(t *testing.T, label string, s *SpaceSavingHeap, truth map[core.Item]int64) {
+	t.Helper()
+	if err := s.Check(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	min := s.Min()
+	var sum int64
+	for _, nd := range s.st.nodes {
+		sum += nd.count
+		if nd.err > min {
+			t.Fatalf("%s: item %d carries err %d above Min() %d", label, nd.item, nd.err, min)
+		}
+	}
+	if sum != s.N() {
+		t.Fatalf("%s: Σcount = %d, N = %d", label, sum, s.N())
+	}
+	var n int64
+	for it, tru := range truth {
+		n += tru
+		est := s.Estimate(it)
+		if est < tru || est > tru+min {
+			t.Fatalf("%s: Estimate(%d) = %d outside [true %d, true + Min() %d]", label, it, est, tru, tru+min)
+		}
+		if tru > s.N()/int64(s.K()) && s.st.lookup(it) < 0 {
+			t.Fatalf("%s: item %d with true count %d > N/k = %d is not tracked", label, it, tru, s.N()/int64(s.K()))
+		}
+	}
+	if n != s.N() {
+		t.Fatalf("%s: N = %d, fed %d", label, s.N(), n)
+	}
+}
+
+// TestSpaceSavingHeapKernelEdges drives the batch kernel's edges: more
+// newcomers than tied minimum counters (several replacement rounds), a
+// newcomer repeated inside its batch (a weighted victim that must sift
+// within its subtree), a lone newcomer (the root eviction Update does),
+// a few newcomers into a wide tie (tie-leaf descents), the degenerate
+// budgets k = 1 and k = 2, and a summary that fills up in the middle
+// of a batch.
+func TestSpaceSavingHeapKernelEdges(t *testing.T) {
+	seq := func(from, n int) []core.Item {
+		out := make([]core.Item, n)
+		for i := range out {
+			out[i] = core.Item(from + i)
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		k       int
+		batches [][]core.Item
+	}{
+		// Four counters tied at 1, then ten newcomers: rounds of 4, 4, 2.
+		{"rounds", 4, [][]core.Item{seq(1, 4), seq(5, 10)}},
+		// Partial tie: 1 and 2 sit above the minimum; the repeated
+		// newcomer 9 takes a tied counter with c = 3.
+		{"repeated-newcomer", 6, [][]core.Item{
+			{1, 1, 1, 2, 2, 3, 4, 5, 6},
+			{9, 7, 9, 8, 9, 10, 1},
+		}},
+		{"single-newcomer", 5, [][]core.Item{seq(1, 5), {1, 2, 3, 42, 2}}},
+		// Three newcomers (one repeated) into a 64-counter tie: the tie
+		// outgrows pairs × log2(k), so they take tie leaves by descent.
+		{"wide-tie", 64, [][]core.Item{seq(1, 64), {100, 101, 100, 102}}},
+		{"k=1", 1, [][]core.Item{{1, 2, 2, 3}, {4, 4, 5}, {5}, {6, 7, 8, 6}}},
+		{"k=2", 2, [][]core.Item{{1, 2, 3}, {4, 4, 5, 6, 1}, {7}, {8, 9, 8, 9, 10}}},
+		// Fills mid-batch: the first five distinct items take free
+		// counters, the later ones replace.
+		{"fill-mid-batch", 5, [][]core.Item{{1, 2, 1, 3, 4, 3, 5, 6, 7, 6, 8, 1}}},
+	}
+	for _, c := range cases {
+		s := NewSpaceSavingHeap(c.k)
+		truth := make(map[core.Item]int64)
+		for i, b := range c.batches {
+			s.UpdateBatch(append([]core.Item(nil), b...))
+			for _, it := range b {
+				truth[it]++
+			}
+			checkSpaceSavingKernel(t, fmt.Sprintf("%s/batch %d", c.name, i), s, truth)
+		}
+	}
+
+	// The same invariants over a churning stream at every small budget
+	// and a spread of batch lengths, mixed with scalar updates.
+	stream := batchTestStream(20_000)
+	for _, k := range []int{1, 2, 3, 8, 64} {
+		for _, batch := range []int{2, 5, 64, 1000} {
+			s := NewSpaceSavingHeap(k)
+			truth := make(map[core.Item]int64)
+			for i := 0; i < len(stream); i += batch {
+				b := stream[i:min(i+batch, len(stream))]
+				if (i/batch)%3 == 2 {
+					for _, it := range b {
+						s.Update(it, 1)
+					}
+				} else {
+					s.UpdateBatch(b)
+				}
+				for _, it := range b {
+					truth[it]++
+				}
+			}
+			checkSpaceSavingKernel(t, fmt.Sprintf("stream/k=%d/batch=%d", k, batch), s, truth)
+		}
+	}
+}
+
+// TestSpaceSavingHeapKernelRounds pins the replacement order: with every
+// counter tied, the newcomers take the deepest tied counters first, and
+// the heap arrangement is the one the rounds predict.
+func TestSpaceSavingHeapKernelRounds(t *testing.T) {
+	s := NewSpaceSavingHeap(4)
+	s.UpdateBatch([]core.Item{1, 2, 3, 4}) // heap slots 0..3 hold 1..4, all at 1
+	s.UpdateBatch([]core.Item{5, 6, 7})    // one round of three: slots 3, 2, 1
+	want := []core.ItemCount{{Item: 1, Count: 1}, {Item: 7, Count: 2}, {Item: 6, Count: 2}, {Item: 5, Count: 2}}
+	for i, id := range s.st.heap {
+		if got := (core.ItemCount{Item: s.st.nodes[id].item, Count: s.st.nodes[id].count}); got != want[i] {
+			t.Fatalf("heap slot %d = %+v, want %+v", i, got, want[i])
+		}
+	}
+	checkSpaceSavingKernel(t, "rounds", s, map[core.Item]int64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1})
+}
+
+// TestSpaceSavingHeapUnitBatchBitIdentical: a one-item batch is applied
+// exactly as Update applies the arrival, so unit-length batches leave
+// byte-identical encoded state.
+func TestSpaceSavingHeapUnitBatchBitIdentical(t *testing.T) {
+	stream := batchTestStream(20_000)
+	scalar, unit := NewSpaceSavingHeap(64), NewSpaceSavingHeap(64)
+	for _, it := range stream {
+		scalar.Update(it, 1)
+		unit.UpdateBatch([]core.Item{it})
+	}
+	a, _ := scalar.MarshalBinary()
+	b, _ := unit.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Fatal("unit-length batches are not bit-identical to the scalar feed")
 	}
 }

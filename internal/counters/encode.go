@@ -181,26 +181,33 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 		s = NewSpaceSavingHeap(int(k))
 	}
 	s.n = n
+	if err := s.decodeEntries(&r, cnt); err != nil {
+		// Every rejection returns a slab-drawn block, so a corrupt
+		// blob cannot leak it.
+		s.Release()
+		return nil, err
+	}
+	return s, nil
+}
+
+// decodeEntries fills s with the cnt SS01 entries left in r.
+func (s *SpaceSavingHeap) decodeEntries(r *entReader, cnt uint64) error {
 	for i := uint64(0); i < cnt; i++ {
 		item := core.Item(r.u64())
 		count := r.i64()
 		errv := r.i64()
 		if count < 0 || errv < 0 || errv > count {
-			s.Release()
-			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
+			return fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
 		}
 		if s.st.lookup(item) >= 0 {
-			return nil, fmt.Errorf("counters: duplicate items in SpaceSaving blob")
+			return fmt.Errorf("counters: duplicate items in SpaceSaving blob")
 		}
 		id := int32(len(s.st.nodes))
 		s.st.nodes = append(s.st.nodes, ssNode{item: item, count: count, err: errv})
 		s.st.insert(item, id)
 		s.st.heapPush(id)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return r.done()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Entries are written

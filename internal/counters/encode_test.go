@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"streamfreq/internal/zipf"
@@ -145,5 +146,56 @@ func TestCounterRoundTripPreservesMergeability(t *testing.T) {
 	}
 	if decoded.N() != a.N()+b.N() {
 		t.Errorf("merged N = %d, want %d", decoded.N(), a.N()+b.N())
+	}
+}
+
+// TestSlabDecodeReleasesOnCorruption: a slab-backed reload of a corrupt
+// SS01 blob must hand its block back on every rejection path, so a
+// tenant table fed bad blobs keeps its LiveBlocks accounting exact.
+func TestSlabDecodeReleasesOnCorruption(t *testing.T) {
+	s := NewSpaceSavingHeap(8)
+	s.Update(1, 5)
+	s.Update(2, 3)
+	s.Update(3, 1)
+	blob, _ := s.MarshalBinary()
+	const entry0 = 4 + 3*8 // magic, k, n, entry count
+	corrupt := func(edit func(b []byte) []byte) []byte {
+		return edit(append([]byte(nil), blob...))
+	}
+	cases := map[string][]byte{
+		"err above count": corrupt(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[entry0+16:], 99)
+			return b
+		}),
+		"duplicate item": corrupt(func(b []byte) []byte {
+			copy(b[entry0+24:entry0+32], b[entry0:entry0+8])
+			return b
+		}),
+		"trailing byte": corrupt(func(b []byte) []byte { return append(b, 0) }),
+		"truncated":     corrupt(func(b []byte) []byte { return b[:len(b)-1] }),
+	}
+	sl := NewSlab()
+	for name, bad := range cases {
+		before := sl.Stats().LiveBlocks
+		if _, err := sl.DecodeSpaceSaving(bad); err == nil {
+			t.Fatalf("%s: corrupt blob accepted", name)
+		}
+		if after := sl.Stats().LiveBlocks; after != before {
+			t.Fatalf("%s: LiveBlocks %d after a rejected decode, want %d", name, after, before)
+		}
+	}
+	good, err := sl.DecodeSpaceSaving(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sl.Stats().LiveBlocks; got != 1 {
+		t.Fatalf("LiveBlocks = %d after one good decode, want 1", got)
+	}
+	good.Release()
+	if got := sl.Stats().LiveBlocks; got != 0 {
+		t.Fatalf("LiveBlocks = %d after Release, want 0", got)
 	}
 }

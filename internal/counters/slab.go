@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"fmt"
 	"sync"
 
 	"streamfreq/internal/core"
@@ -119,27 +120,21 @@ func (st *ssStorage) lookup(x core.Item) int32 {
 	}
 }
 
-// insert records x → id. x must not be present. The first tombstone on
-// the probe path is reused, keeping the table dense under the
-// replacement churn of a full summary.
+// insert records x → id. x must not be present, so the first free slot
+// on its probe path — a tombstone, reused to keep the table dense under
+// the replacement churn of a full summary, or else an empty slot — is
+// taken without probing on.
 func (st *ssStorage) insert(x core.Item, id int32) {
 	mask := uint64(len(st.index) - 1)
 	i := ssHash(x) >> st.shift
-	slot := uint64(0)
-	haveSlot := false
 	for {
-		s := st.index[i]
-		if s == 0 {
-			if !haveSlot {
-				slot = i
-			} else {
-				st.tombs--
-			}
-			st.index[slot] = id + 1
+		switch st.index[i] {
+		case ssTombstone:
+			st.tombs--
+			fallthrough
+		case 0:
+			st.index[i] = id + 1
 			return
-		}
-		if s == ssTombstone && !haveSlot {
-			slot, haveSlot = i, true
 		}
 		i = (i + 1) & mask
 	}
@@ -229,6 +224,36 @@ func (st *ssStorage) heapFix(i int) {
 	}
 }
 
+// bump adds c to tracked node id and restores heap order.
+func (st *ssStorage) bump(id int32, c int64) {
+	nd := &st.nodes[id]
+	nd.count += c
+	st.hcnt[nd.heapIdx] = nd.count
+	st.heapFix(int(nd.heapIdx))
+}
+
+// fill admits x with count c into a free counter.
+func (st *ssStorage) fill(x core.Item, c int64) {
+	id := int32(len(st.nodes))
+	st.nodes = append(st.nodes, ssNode{item: x, count: c})
+	st.insert(x, id)
+	st.heapPush(id)
+}
+
+// replace hands the counter at heap slot h to x: x inherits the
+// victim's count as its error and adds c. The caller restores heap
+// order below h.
+func (st *ssStorage) replace(h int, x core.Item, c int64) {
+	id := st.heap[h]
+	nd := &st.nodes[id]
+	st.remove(nd.item)
+	nd.err = nd.count
+	nd.count += c
+	nd.item = x
+	st.insert(x, id)
+	st.hcnt[h] = nd.count
+}
+
 // heapUp and heapDown sift hole-style: the moving slot is held in
 // registers while lighter/heavier slots shift one level, and written
 // exactly once at its final position — the arrangement is identical to
@@ -281,34 +306,31 @@ func (st *ssStorage) heapDown(i int) bool {
 }
 
 // validateStorage checks the structural invariants (heap order, heapIdx
-// mirrors, index consistency); used only by tests.
-func (st *ssStorage) validateStorage() bool {
-	if len(st.nodes) != len(st.heap) {
-		return false
-	}
-	if len(st.hcnt) != len(st.heap) {
-		return false
+// and hcnt mirrors, index consistency), naming the first violation.
+func (st *ssStorage) validateStorage() error {
+	if len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
+		return fmt.Errorf("counters: SpaceSaving storage lengths differ (nodes %d, heap %d, hcnt %d)",
+			len(st.nodes), len(st.heap), len(st.hcnt))
 	}
 	for i, id := range st.heap {
 		if id < 0 || int(id) >= len(st.nodes) || st.nodes[id].heapIdx != int32(i) {
-			return false
+			return fmt.Errorf("counters: SpaceSaving heap slot %d holds node %d whose heapIdx disagrees", i, id)
 		}
 		if st.hcnt[i] != st.nodes[id].count {
-			return false
+			return fmt.Errorf("counters: SpaceSaving heap slot %d mirrors count %d, node holds %d", i, st.hcnt[i], st.nodes[id].count)
 		}
-		if l := 2*i + 1; l < len(st.heap) && st.heapLess(l, i) {
-			return false
-		}
-		if r := 2*i + 2; r < len(st.heap) && st.heapLess(r, i) {
-			return false
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(st.heap) && st.heapLess(c, i) {
+				return fmt.Errorf("counters: SpaceSaving heap order broken at slot %d (child %d)", i, c)
+			}
 		}
 	}
 	for id := range st.nodes {
 		if st.lookup(st.nodes[id].item) != int32(id) {
-			return false
+			return fmt.Errorf("counters: SpaceSaving index does not resolve item %d to node %d", st.nodes[id].item, id)
 		}
 	}
-	return true
+	return nil
 }
 
 // Slab is a shared allocator of SpaceSavingHeap storage: per-k size

@@ -10,6 +10,7 @@ package counters_test
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -132,4 +133,41 @@ func BenchmarkSlabSpaceSaving(b *testing.B) {
 			s.Update(stream[i&4095], 1)
 		}
 	})
+}
+
+// BenchmarkSpaceSavingBatchLength sweeps the batch length of SSH ingest
+// at the paper's φ = 0.001 (k = 1001) on Zipf z = 1.1 over 2^20 items,
+// against the scalar feed. The batch kernel walks the tie at the
+// minimum only for batches that bring at least k/log2(k) newcomers and
+// gives fewer newcomers tie leaves by descent, so no batch length may
+// cost more per item than the scalar loop.
+func BenchmarkSpaceSavingBatchLength(b *testing.B) {
+	g, err := zipf.NewGenerator(1<<20, 1.1, 5, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := g.Stream(1 << 20)
+	warm := func() *counters.SpaceSavingHeap {
+		s := counters.NewSpaceSavingHeap(1001)
+		core.UpdateBatches(s, stream[:200_000], core.DefaultBatchSize)
+		return s
+	}
+	b.Run("scalar", func(b *testing.B) {
+		s := warm()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Update(stream[i&(len(stream)-1)], 1)
+		}
+	})
+	for _, n := range []int{2, 8, 64, 512, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
+			s := warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += n {
+				off := done & (len(stream) - 1)
+				s.UpdateBatch(stream[off:min(off+n, len(stream))])
+			}
+		})
+	}
 }

@@ -1,7 +1,10 @@
 package counters
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"streamfreq/internal/core"
 )
@@ -83,48 +86,141 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 	s.n += count
 
 	if id := s.st.lookup(x); id >= 0 {
-		nd := &s.st.nodes[id]
-		nd.count += count
-		s.st.hcnt[nd.heapIdx] = nd.count
-		s.st.heapFix(int(nd.heapIdx))
+		s.st.bump(id, count)
 		return
 	}
 	if len(s.st.heap) < s.k {
-		id := int32(len(s.st.nodes))
-		s.st.nodes = append(s.st.nodes, ssNode{item: x, count: count})
-		s.st.insert(x, id)
-		s.st.heapPush(id)
+		s.st.fill(x, count)
 		return
 	}
 	// Replace the minimum counter: x inherits its count as error.
-	id := s.st.heap[0]
-	nd := &s.st.nodes[id]
-	s.st.remove(nd.item)
-	nd.err = nd.count
-	nd.count += count
-	nd.item = x
-	s.st.insert(x, id)
-	s.st.hcnt[0] = nd.count
+	s.st.replace(0, x, count)
 	s.st.heapFix(0)
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals: the
-// batch is pre-aggregated and the merged counts bulk-applied in
-// first-appearance order, so each distinct item pays one index lookup
-// and one heap sift per batch instead of one per arrival. The
-// Space-Saving invariants (no underestimates; per-entry err bounds the
-// inherited overcount; every item above n/k tracked) hold for the
-// aggregated replay exactly as for the scalar one, since a weighted
-// update is the unit rule applied with the arrivals adjacent.
+// batch is pre-aggregated into (item, count) pairs and applied by
+// addPairs, so each distinct item pays one index lookup per batch
+// instead of one per arrival, and the newcomers that replace the
+// minimum are handed the tied minimum counters bottom-up instead of
+// each sifting through the tie from the root. The result is
+// Space-Saving — which may evict any counter holding the minimum — run
+// on a fixed permutation of the batch's arrivals (tracked items'
+// arrivals first, then the newcomers'), so every invariant holds
+// exactly as for the scalar feed: no underestimates, per-entry err
+// bounds the inherited overcount, every item above n/k tracked, and
+// moreover Σcount = n and every err ≤ Min().
 func (s *SpaceSavingHeap) UpdateBatch(items []core.Item) {
 	core.Collapse(items, s.addPairs)
 }
 
-// addPairs applies each collapsed (item, count) pair as one weighted
-// Update, in first-appearance order.
+// addPairs applies a collapsed batch in two passes. Pass one, in
+// first-appearance order: pairs whose item is already tracked add to
+// their counter, and untracked pairs fill free counters while the
+// summary is below k. The remaining untracked pairs are compacted to
+// the front of the (scratch) slices and replace minimum counters in
+// replaceTied.
 func (s *SpaceSavingHeap) addPairs(items []core.Item, counts []int64) {
-	for k, x := range items {
-		s.Update(x, counts[k])
+	st := &s.st
+	p := 0
+	for i, x := range items {
+		c := counts[i]
+		s.n += c
+		if id := st.lookup(x); id >= 0 {
+			st.bump(id, c)
+		} else if len(st.heap) < s.k {
+			st.fill(x, c)
+		} else {
+			items[p], counts[p] = x, c
+			p++
+		}
+	}
+	if p > 0 {
+		st.replaceTied(items[:p], counts[:p])
+	}
+}
+
+// tiePool shares replaceTied's breadth-first queue across summaries,
+// like core.Collapse's table: an idle summary retains no scratch.
+var tiePool = sync.Pool{New: func() any { return new([]int32) }}
+
+// replaceTied hands minimum counters to the pending newcomer pairs.
+// Any counter tied at the minimum m may be evicted, and heap order
+// makes the tied counters a connected subtree at the root, so a victim
+// with no tied child takes err = m and count = m + c in place: its
+// parent is still tied at m and its children hold more than m, so a
+// unit pair needs no sift at all and a heavier one sifts down only
+// through its own subtree.
+//
+// Many pairs take such victims in rounds. A round walks the whole tie
+// breadth first, which lists it in ascending heap index in O(ties), and
+// hands it out deepest first, so every victim's tied children were
+// replaced before it. Rounds run while pairs × log2(k) ≥ k: then a walk
+// of even a k-wide tie costs no more than the per-pair descents it
+// replaces. Fewer pairs each find a tie leaf by a read-only descent
+// from the root (tieLeaf), which is still cheaper than the sift through
+// the tie that Update pays. A single pending pair evicts the root
+// exactly as Update does, which keeps unit-length batches bit-identical
+// to the scalar feed.
+func (st *ssStorage) replaceTied(items []core.Item, counts []int64) {
+	n := len(st.hcnt)
+	walk := func() bool { return len(items) > 1 && len(items)*bits.Len(uint(n)) >= n }
+	if walk() {
+		q := tiePool.Get().(*[]int32)
+		ties := *q
+		for walk() {
+			m := st.hcnt[0]
+			ties = append(ties[:0], 0)
+			for j := 0; j < len(ties); j++ {
+				l := 2*int(ties[j]) + 1
+				if l < n && st.hcnt[l] == m {
+					ties = append(ties, int32(l))
+				}
+				if r := l + 1; r < n && st.hcnt[r] == m {
+					ties = append(ties, int32(r))
+				}
+			}
+			for j := len(ties) - 1; j >= 0 && len(items) > 0; j-- {
+				h, c := int(ties[j]), counts[0]
+				st.replace(h, items[0], c)
+				if c > 1 {
+					st.heapDown(h)
+				}
+				items, counts = items[1:], counts[1:]
+			}
+		}
+		*q = ties[:0]
+		tiePool.Put(q)
+	}
+	if len(items) == 1 {
+		st.replace(0, items[0], counts[0])
+		st.heapFix(0)
+		return
+	}
+	for i, x := range items {
+		h := st.tieLeaf()
+		st.replace(h, x, counts[i])
+		if counts[i] > 1 {
+			st.heapDown(h)
+		}
+	}
+}
+
+// tieLeaf returns the heap slot of a counter tied at the minimum none of
+// whose children is tied: the end of a read-only walk down the tie.
+func (st *ssStorage) tieLeaf() int {
+	m, n := st.hcnt[0], len(st.hcnt)
+	i := 0
+	for {
+		l := 2*i + 1
+		switch {
+		case l < n && st.hcnt[l] == m:
+			i = l
+		case l+1 < n && st.hcnt[l+1] == m:
+			i = l + 1
+		default:
+			return i
+		}
 	}
 }
 
@@ -185,8 +281,9 @@ func (s *SpaceSavingHeap) Entries() []core.ItemCount {
 }
 
 // Bytes implements core.Summary: the exact flat-storage footprint
-// (nodes + id heap + index). Batch pre-aggregation scratch is pooled
-// across summaries (see core.Collapse) and not charged per instance.
+// (nodes + id heap + index). Batch scratch — the pre-aggregation table
+// (core.Collapse) and the tie queue (tiePool) — is pooled across
+// summaries and not charged per instance.
 func (s *SpaceSavingHeap) Bytes() int { return ssBlockBytes(s.k) }
 
 // Merge combines another Space-Saving summary into this one following
@@ -250,5 +347,23 @@ func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 	return nil
 }
 
-// validate checks the structural invariants; used only by tests.
-func (s *SpaceSavingHeap) validate() bool { return s.st.validateStorage() }
+// Check verifies the summary's invariants: at most k counters; heap
+// order over the counts, with the heapIdx and hcnt mirrors in step;
+// every counter reachable through the index under its own item; and
+// 0 ≤ err ≤ count on every counter. It returns nil on a consistent
+// summary.
+func (s *SpaceSavingHeap) Check() error {
+	if len(s.st.heap) > s.k {
+		return fmt.Errorf("counters: SpaceSaving holds %d counters, budget k=%d", len(s.st.heap), s.k)
+	}
+	if err := s.st.validateStorage(); err != nil {
+		return err
+	}
+	for i := range s.st.nodes {
+		if nd := &s.st.nodes[i]; nd.err < 0 || nd.err > nd.count {
+			return fmt.Errorf("counters: SpaceSaving counter %d (item %d) has err %d outside [0, count %d]",
+				i, nd.item, nd.err, nd.count)
+		}
+	}
+	return nil
+}

@@ -161,14 +161,14 @@ func (r *Reader) err(e error) {
 
 // NextBatch implements BatchSource, decoding up to len(buf) items into
 // buf. It returns 0 at end of file. On a short or failing read it
-// returns what was decoded before the failure (possibly 0) and the
-// error surfaces through Err; subsequent calls return 0, so replay
+// returns the whole items decoded before the failure (possibly 0) and
+// the error surfaces through Err; subsequent calls return 0, so replay
 // loops stay a two-line for loop.
 //
-// The staging buffer is capped: however large buf is, the Reader never
-// holds more than maxStage items' worth of raw bytes, so a caller that
-// drains a whole file into one slice still reads at O(maxStage) extra
-// memory.
+// The staging buffer is capped (see readItems): however large buf is,
+// the Reader never holds more than maxStage items' worth of raw bytes,
+// so a caller that drains a whole file into one slice still reads at
+// O(maxStage) extra memory.
 func (r *Reader) NextBatch(buf []core.Item) int {
 	want := uint64(len(buf))
 	if want > r.remaining {
@@ -177,31 +177,52 @@ func (r *Reader) NextBatch(buf []core.Item) int {
 	if want == 0 {
 		return 0
 	}
-	const maxStage = 1 << 16 // items per raw read: 512 KiB
-	done := uint64(0)
-	for done < want {
-		n := want - done
-		if n > maxStage {
-			n = maxStage
+	n, e := readItems(r.br, &r.raw, buf[:want])
+	if e != nil {
+		if e == io.EOF {
+			e = io.ErrUnexpectedEOF // the header declared more items
 		}
-		need := int(n) * 8
-		if cap(r.raw) < need {
-			r.raw = make([]byte, need)
-		}
-		raw := r.raw[:need]
-		if _, e := io.ReadFull(r.br, raw); e != nil {
-			r.err(fmt.Errorf("stream: reading item %d of %d: %w",
-				r.total-r.remaining+done, r.total, e))
-			return int(done)
-		}
-		out := buf[done : done+n]
-		for i := range out {
-			out[i] = core.Item(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
-		done += n
+		r.err(fmt.Errorf("stream: reading item %d of %d: %w",
+			r.total-r.remaining+uint64(n), r.total, e))
+		return n
 	}
-	r.remaining -= done
-	return int(done)
+	r.remaining -= want
+	return n
+}
+
+// maxStage caps one raw read at 64Ki items (512 KiB of staging).
+const maxStage = 1 << 16
+
+// readItems fills buf with little-endian items read from r — the one
+// item decoder of both binary wire formats. It reads whole runs of up
+// to maxStage items into the reused staging buffer *raw (grown on
+// demand) and decodes each run in one loop. It returns the number of
+// whole items decoded and, when r ran out or failed before buf filled,
+// why: io.EOF when r ended on an item boundary, io.ErrUnexpectedEOF
+// when it ended mid-item (the partial item is dropped), or r's own
+// error.
+func readItems(r io.Reader, raw *[]byte, buf []core.Item) (int, error) {
+	done := 0
+	for done < len(buf) {
+		need := 8 * min(len(buf)-done, maxStage)
+		if cap(*raw) < need {
+			*raw = make([]byte, need)
+		}
+		b := (*raw)[:need]
+		got, err := io.ReadFull(r, b)
+		out := buf[done : done+got/8]
+		for i := range out {
+			out[i] = core.Item(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		done += len(out)
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && got%8 == 0 {
+				err = io.EOF
+			}
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 // Next implements Source for compatibility with scalar consumers. It

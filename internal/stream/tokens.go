@@ -108,14 +108,16 @@ func ReadTokens(r io.Reader) ([]core.Item, map[core.Item]string, error) {
 // unknown when transmission starts (unlike the SFSTRM01 file format,
 // whose header declares it).
 type RawSource struct {
-	br      *bufio.Reader
+	r       io.Reader
+	raw     []byte // reused little-endian staging buffer
 	readErr error
 	one     [1]core.Item
 }
 
-// NewRawSource returns a RawSource over r.
+// NewRawSource returns a RawSource over r. It reads r directly in runs
+// of up to a batch of items, so r needs no buffering of its own.
 func NewRawSource(r io.Reader) *RawSource {
-	return &RawSource{br: bufio.NewReaderSize(r, 64*1024)}
+	return &RawSource{r: r}
 }
 
 // NextBatch implements BatchSource, decoding up to len(buf) items. It
@@ -126,18 +128,9 @@ func (s *RawSource) NextBatch(buf []core.Item) int {
 	if s.readErr != nil {
 		return 0
 	}
-	n := 0
-	var raw [8]byte
-	for n < len(buf) {
-		if _, err := io.ReadFull(s.br, raw[:]); err != nil {
-			if err == io.EOF {
-				return n
-			}
-			s.readErr = err // ErrUnexpectedEOF (torn item) or a real read error
-			return n
-		}
-		buf[n] = core.Item(binary.LittleEndian.Uint64(raw[:]))
-		n++
+	n, err := readItems(s.r, &s.raw, buf)
+	if err != nil && err != io.EOF {
+		s.readErr = err // ErrUnexpectedEOF (torn item) or a real read error
 	}
 	return n
 }

@@ -104,6 +104,8 @@ func TestMergeEncodedFidelityRegistry(t *testing.T) {
 			}
 			checkInvariants(t, algo+"/a", a)
 			checkInvariants(t, algo+"/b", b)
+			checkUpdateFed(t, algo+"/a", a)
+			checkUpdateFed(t, algo+"/b", b)
 			checkInvariants(t, algo+"/merged", merged)
 
 			// (1) Wire fidelity: merging through blobs re-encodes to the
