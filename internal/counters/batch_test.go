@@ -216,12 +216,12 @@ func checkSpaceSavingKernel(t *testing.T, label string, s *SpaceSavingHeap, trut
 }
 
 // TestSpaceSavingHeapKernelEdges drives the batch kernel's edges: more
-// newcomers than tied minimum counters (several replacement rounds), a
-// newcomer repeated inside its batch (a weighted victim that must sift
-// within its subtree), a lone newcomer (the root eviction Update does),
-// a few newcomers into a wide tie (tie-leaf descents), the degenerate
-// budgets k = 1 and k = 2, and a summary that fills up in the middle
-// of a batch.
+// newcomers than tied minimum counters (the minimum rises mid-batch and
+// later newcomers evict earlier ones), a newcomer repeated inside its
+// batch (a weighted victim that must sift within its subtree), a lone
+// newcomer (the root eviction Update does), a few newcomers into a wide
+// tie, the degenerate budgets k = 1 and k = 2, and a summary that fills
+// up in the middle of a batch.
 func TestSpaceSavingHeapKernelEdges(t *testing.T) {
 	seq := func(from, n int) []core.Item {
 		out := make([]core.Item, n)
@@ -235,8 +235,9 @@ func TestSpaceSavingHeapKernelEdges(t *testing.T) {
 		k       int
 		batches [][]core.Item
 	}{
-		// Four counters tied at 1, then ten newcomers: rounds of 4, 4, 2.
-		{"rounds", 4, [][]core.Item{seq(1, 4), seq(5, 10)}},
+		// Four counters tied at 1, then ten newcomers: the walk of the
+		// tie restarts twice, at minimum 2 and then 3.
+		{"exhausted-tie", 4, [][]core.Item{seq(1, 4), seq(5, 10)}},
 		// Partial tie: 1 and 2 sit above the minimum; the repeated
 		// newcomer 9 takes a tied counter with c = 3.
 		{"repeated-newcomer", 6, [][]core.Item{
@@ -244,8 +245,7 @@ func TestSpaceSavingHeapKernelEdges(t *testing.T) {
 			{9, 7, 9, 8, 9, 10, 1},
 		}},
 		{"single-newcomer", 5, [][]core.Item{seq(1, 5), {1, 2, 3, 42, 2}}},
-		// Three newcomers (one repeated) into a 64-counter tie: the tie
-		// outgrows pairs × log2(k), so they take tie leaves by descent.
+		// Three newcomers (one repeated) into a 64-counter tie.
 		{"wide-tie", 64, [][]core.Item{seq(1, 64), {100, 101, 100, 102}}},
 		{"k=1", 1, [][]core.Item{{1, 2, 2, 3}, {4, 4, 5}, {5}, {6, 7, 8, 6}}},
 		{"k=2", 2, [][]core.Item{{1, 2, 3}, {4, 4, 5, 6, 1}, {7}, {8, 9, 8, 9, 10}}},
@@ -290,20 +290,34 @@ func TestSpaceSavingHeapKernelEdges(t *testing.T) {
 	}
 }
 
-// TestSpaceSavingHeapKernelRounds pins the replacement order: with every
-// counter tied, the newcomers take the deepest tied counters first, and
-// the heap arrangement is the one the rounds predict.
-func TestSpaceSavingHeapKernelRounds(t *testing.T) {
-	s := NewSpaceSavingHeap(4)
-	s.UpdateBatch([]core.Item{1, 2, 3, 4}) // heap slots 0..3 hold 1..4, all at 1
-	s.UpdateBatch([]core.Item{5, 6, 7})    // one round of three: slots 3, 2, 1
-	want := []core.ItemCount{{Item: 1, Count: 1}, {Item: 7, Count: 2}, {Item: 6, Count: 2}, {Item: 5, Count: 2}}
-	for i, id := range s.st.heap {
-		if got := (core.ItemCount{Item: s.st.nodes[id].item, Count: s.st.nodes[id].count}); got != want[i] {
-			t.Fatalf("heap slot %d = %+v, want %+v", i, got, want[i])
+// TestSpaceSavingHeapKernelEvictsMinimum: the newcomers of a batch
+// evict only counters tied at the minimum m, each victim's newcomer
+// takes count m + c and err m, and the counters above m keep theirs,
+// in whatever slots the tie leaves happen to sit.
+func TestSpaceSavingHeapKernelEvictsMinimum(t *testing.T) {
+	s := NewSpaceSavingHeap(6)
+	s.UpdateBatch([]core.Item{1, 1, 1, 2, 2, 2, 3, 4, 5, 6}) // 1, 2 at 3; 3..6 tied at 1
+	s.UpdateBatch([]core.Item{7, 8, 8, 8, 9})                // three of the four tied counters go
+	checkSpaceSavingKernel(t, "evicts-minimum", s, map[core.Item]int64{
+		1: 3, 2: 3, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 3, 9: 1})
+	want := map[core.Item][2]int64{1: {3, 0}, 2: {3, 0}, 7: {2, 1}, 8: {4, 1}, 9: {2, 1}}
+	survivors := 0
+	for _, nd := range s.st.nodes {
+		if w, ok := want[nd.item]; ok {
+			if got := [2]int64{nd.count, nd.err}; got != w {
+				t.Fatalf("item %d: (count, err) = %v, want %v", nd.item, got, w)
+			}
+			delete(want, nd.item)
+			continue
 		}
+		if nd.item < 3 || nd.item > 6 || nd.count != 1 || nd.err != 0 {
+			t.Fatalf("unexpected counter %+v", nd)
+		}
+		survivors++
 	}
-	checkSpaceSavingKernel(t, "rounds", s, map[core.Item]int64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1})
+	if len(want) != 0 || survivors != 1 {
+		t.Fatalf("untracked %v, %d of the tied counters survive, want 1", want, survivors)
+	}
 }
 
 // TestSpaceSavingHeapUnitBatchBitIdentical: a one-item batch is applied

@@ -137,10 +137,10 @@ func BenchmarkSlabSpaceSaving(b *testing.B) {
 
 // BenchmarkSpaceSavingBatchLength sweeps the batch length of SSH ingest
 // at the paper's φ = 0.001 (k = 1001) on Zipf z = 1.1 over 2^20 items,
-// against the scalar feed. The batch kernel walks the tie at the
-// minimum only for batches that bring at least k/log2(k) newcomers and
-// gives fewer newcomers tie leaves by descent, so no batch length may
-// cost more per item than the scalar loop.
+// against the scalar feed. The batch kernel's walk of the tie at the
+// minimum costs one descent plus O(1) amortized per newcomer, so short
+// batches pay no walk of the whole tie; what a 2-item batch pays above
+// the scalar loop is the collapse itself.
 func BenchmarkSpaceSavingBatchLength(b *testing.B) {
 	g, err := zipf.NewGenerator(1<<20, 1.1, 5, true)
 	if err != nil {

@@ -2,9 +2,7 @@ package counters
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
-	"sync"
 
 	"streamfreq/internal/core"
 )
@@ -140,65 +138,29 @@ func (s *SpaceSavingHeap) addPairs(items []core.Item, counts []int64) {
 	}
 }
 
-// tiePool shares replaceTied's breadth-first queue across summaries,
-// like core.Collapse's table: an idle summary retains no scratch.
-var tiePool = sync.Pool{New: func() any { return new([]int32) }}
-
 // replaceTied hands minimum counters to the pending newcomer pairs.
 // Any counter tied at the minimum m may be evicted, and heap order
-// makes the tied counters a connected subtree at the root, so a victim
-// with no tied child takes err = m and count = m + c in place: its
-// parent is still tied at m and its children hold more than m, so a
-// unit pair needs no sift at all and a heavier one sifts down only
-// through its own subtree.
-//
-// Many pairs take such victims in rounds. A round walks the whole tie
-// breadth first, which lists it in ascending heap index in O(ties), and
-// hands it out deepest first, so every victim's tied children were
-// replaced before it. Rounds run while pairs × log2(k) ≥ k: then a walk
-// of even a k-wide tie costs no more than the per-pair descents it
-// replaces. Fewer pairs each find a tie leaf by a read-only descent
-// from the root (tieLeaf), which is still cheaper than the sift through
-// the tie that Update pays. A single pending pair evicts the root
-// exactly as Update does, which keeps unit-length batches bit-identical
-// to the scalar feed.
+// makes the tied counters a connected subtree at the root. The pairs
+// take that subtree's counters in post-order (nextVictim), so every
+// victim's tied children were replaced before it: it takes err = m and
+// count = m + c in place, its parent is still tied at m and its
+// children hold more than m, so a unit pair needs no sift at all and a
+// heavier one sifts down only through its own subtree. Once the root
+// goes, the walk restarts at the new minimum. A walk costs one descent
+// to its first tie leaf and O(1) amortized per victim after that,
+// reading only the contiguous hcnt mirror, where the root
+// replace-and-sift that Update pays moves a node at every tied level.
+// A single pending pair evicts the root exactly as Update does, which
+// keeps unit-length batches bit-identical to the scalar feed.
 func (st *ssStorage) replaceTied(items []core.Item, counts []int64) {
-	n := len(st.hcnt)
-	walk := func() bool { return len(items) > 1 && len(items)*bits.Len(uint(n)) >= n }
-	if walk() {
-		q := tiePool.Get().(*[]int32)
-		ties := *q
-		for walk() {
-			m := st.hcnt[0]
-			ties = append(ties[:0], 0)
-			for j := 0; j < len(ties); j++ {
-				l := 2*int(ties[j]) + 1
-				if l < n && st.hcnt[l] == m {
-					ties = append(ties, int32(l))
-				}
-				if r := l + 1; r < n && st.hcnt[r] == m {
-					ties = append(ties, int32(r))
-				}
-			}
-			for j := len(ties) - 1; j >= 0 && len(items) > 0; j-- {
-				h, c := int(ties[j]), counts[0]
-				st.replace(h, items[0], c)
-				if c > 1 {
-					st.heapDown(h)
-				}
-				items, counts = items[1:], counts[1:]
-			}
-		}
-		*q = ties[:0]
-		tiePool.Put(q)
-	}
 	if len(items) == 1 {
 		st.replace(0, items[0], counts[0])
 		st.heapFix(0)
 		return
 	}
+	h, m := 0, int64(0) // slot 0: start a walk
 	for i, x := range items {
-		h := st.tieLeaf()
+		h, m = st.nextVictim(h, m)
 		st.replace(h, x, counts[i])
 		if counts[i] > 1 {
 			st.heapDown(h)
@@ -206,20 +168,30 @@ func (st *ssStorage) replaceTied(items []core.Item, counts []int64) {
 	}
 }
 
-// tieLeaf returns the heap slot of a counter tied at the minimum none of
-// whose children is tied: the end of a read-only walk down the tie.
-func (st *ssStorage) tieLeaf() int {
-	m, n := st.hcnt[0], len(st.hcnt)
-	i := 0
-	for {
-		l := 2*i + 1
+// nextVictim returns the heap slot after h in a post-order walk of the
+// counters tied at m, and the minimum the walk is at. After a left
+// child comes the first tie leaf of its tied sibling's subtree, else
+// the parent. The root comes last, so h = 0 (the root was replaced, or
+// nothing was yet) starts a walk of the tie at the current minimum
+// from its first leaf.
+func (st *ssStorage) nextVictim(h int, m int64) (int, int64) {
+	switch {
+	case h == 0:
+		m = st.hcnt[0]
+	case h&1 == 1 && h+1 < len(st.hcnt) && st.hcnt[h+1] == m:
+		h++
+	default:
+		return (h - 1) / 2, m
+	}
+	for n := len(st.hcnt); ; {
+		l := 2*h + 1
 		switch {
 		case l < n && st.hcnt[l] == m:
-			i = l
+			h = l
 		case l+1 < n && st.hcnt[l+1] == m:
-			i = l + 1
+			h = l + 1
 		default:
-			return i
+			return h, m
 		}
 	}
 }
@@ -281,9 +253,8 @@ func (s *SpaceSavingHeap) Entries() []core.ItemCount {
 }
 
 // Bytes implements core.Summary: the exact flat-storage footprint
-// (nodes + id heap + index). Batch scratch — the pre-aggregation table
-// (core.Collapse) and the tie queue (tiePool) — is pooled across
-// summaries and not charged per instance.
+// (nodes + id heap + index). Batch pre-aggregation scratch is pooled
+// across summaries (see core.Collapse) and not charged per instance.
 func (s *SpaceSavingHeap) Bytes() int { return ssBlockBytes(s.k) }
 
 // Merge combines another Space-Saving summary into this one following

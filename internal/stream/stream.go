@@ -190,8 +190,9 @@ func (r *Reader) NextBatch(buf []core.Item) int {
 	return n
 }
 
-// maxStage caps one raw read at 64Ki items (512 KiB of staging).
-const maxStage = 1 << 16
+// maxStage caps one raw read at 8Ki items: a decoder never stages more
+// than 64 KiB of raw bytes, however large the caller's buf is.
+const maxStage = 1 << 13
 
 // readItems fills buf with little-endian items read from r — the one
 // item decoder of both binary wire formats. It reads whole runs of up

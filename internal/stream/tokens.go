@@ -115,7 +115,9 @@ type RawSource struct {
 }
 
 // NewRawSource returns a RawSource over r. It reads r directly in runs
-// of up to a batch of items, so r needs no buffering of its own.
+// of up to a batch of items (at most maxStage), so r needs no buffering
+// of its own; the staging buffer is per source, 8 bytes per item of the
+// largest batch asked for, at most 64 KiB.
 func NewRawSource(r io.Reader) *RawSource {
 	return &RawSource{r: r}
 }

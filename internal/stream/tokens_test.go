@@ -216,3 +216,28 @@ func TestRawSourceEmpty(t *testing.T) {
 		t.Fatalf("Err on empty input = %v, want nil", src.Err())
 	}
 }
+
+// TestRawSourceStagingCap: a batch longer than maxStage is decoded in
+// several runs, whole, and the staging buffer stays at 64 KiB.
+func TestRawSourceStagingCap(t *testing.T) {
+	items := make([]core.Item, 3*maxStage+5)
+	for i := range items {
+		items[i] = core.Item(i)*0x9e3779b97f4a7c15 + 1
+	}
+	src := NewRawSource(bytes.NewReader(append(AppendRaw(nil, items), 1, 2)))
+	buf := make([]core.Item, len(items)+10)
+	if n := src.NextBatch(buf); n != len(items) {
+		t.Fatalf("NextBatch = %d, want %d", n, len(items))
+	}
+	for i := range items {
+		if buf[i] != items[i] {
+			t.Fatalf("item[%d] = %#x, want %#x", i, uint64(buf[i]), uint64(items[i]))
+		}
+	}
+	if !errors.Is(src.Err(), io.ErrUnexpectedEOF) {
+		t.Fatalf("Err() = %v, want ErrUnexpectedEOF", src.Err())
+	}
+	if c := cap(src.raw); c > 64<<10 {
+		t.Fatalf("staging buffer holds %d bytes, want ≤ 64 KiB", c)
+	}
+}
