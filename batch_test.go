@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/counters"
 	"streamfreq/internal/exact"
 	"streamfreq/internal/hash"
 	"streamfreq/internal/sketches"
@@ -237,10 +238,23 @@ func checkInvariants(t *testing.T, label string, s Summary) {
 // checkUpdateFed asserts two exact invariants of a Space-Saving summary
 // fed only by updates, scalar or batched: a replacement inherits its
 // victim's count, so Σcount = N; and an error is the minimum at its
-// replacement, which never falls, so every err ≤ Min(). (A merged
-// summary satisfies neither; other summaries are skipped.)
+// replacement, which never falls, so every err ≤ Min(). Misra–Gries
+// has the matching identity: each decrement of m takes m from k
+// counters and from the newcomer, so Σestimates + (k+1)·MaxError = N.
+// (A merged summary satisfies none of these, only Check's inequality;
+// other summaries are skipped.)
 func checkUpdateFed(t *testing.T, label string, s Summary) {
 	t.Helper()
+	if f, ok := s.(*counters.Frequent); ok {
+		sum := int64(f.K()+1) * f.MaxError()
+		for _, ic := range f.Entries() {
+			sum += ic.Count
+		}
+		if sum != f.N() {
+			t.Fatalf("%s: Σestimates + (k+1)·MaxError = %d, N = %d", label, sum, f.N())
+		}
+		return
+	}
 	ss, ok := s.(interface {
 		Min() int64
 		GuaranteedCount(Item) int64

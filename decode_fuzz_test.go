@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"streamfreq/internal/counters"
 	"streamfreq/internal/prng"
 )
 
@@ -95,7 +96,8 @@ func TestDecodeBitFlippedBlobs(t *testing.T) {
 
 // FuzzDecode is the native-fuzzing arm of the hostile-input property:
 // whatever bytes arrive, Decode errors or returns a structurally valid
-// summary — never a panic. The seed corpus covers every supported magic
+// summary — never a panic — and an accepted FQ01 or SS01 summary passes
+// its Check. The seed corpus covers every supported magic
 // with both valid and garbage payloads.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(nil))
@@ -137,6 +139,12 @@ func FuzzDecode(f *testing.F) {
 			_ = dec.Bytes()
 			_ = dec.Query(1)
 			_ = dec.N()
+			// The counter decoders validate what they accept: an FQ01
+			// or SS01 summary that decodes passes its invariant check.
+			switch dec.(type) {
+			case *counters.Frequent, *counters.SpaceSavingHeap:
+				checkInvariants(t, "decoded "+dec.Name(), dec)
+			}
 		}
 	})
 }

@@ -105,19 +105,6 @@ func NewSpaceSavingList(k int) *counters.SpaceSavingList {
 	return counters.NewSpaceSavingList(k)
 }
 
-// NewStickySampling returns the Manku–Motwani probabilistic baseline.
-func NewStickySampling(support, epsilon, delta float64, seed uint64) *counters.StickySampling {
-	return counters.NewStickySampling(support, epsilon, delta, seed)
-}
-
-// NewFilteredSpaceSaving returns the Filtered Space-Saving refinement
-// (extension; Homem & Carvalho 2010): a hashed error filter in front of
-// the monitored set cuts spurious replacements on low-skew streams.
-// filterCells = 0 selects the recommended 8k cells.
-func NewFilteredSpaceSaving(k, filterCells int, seed uint64) *counters.FilteredSpaceSaving {
-	return counters.NewFilteredSpaceSaving(k, filterCells, seed)
-}
-
 // NewCountMin returns a depth×width Count-Min sketch ("CM"). Flat
 // sketches answer point queries only; combine with NewTracked or use
 // NewCountMinHierarchy for heavy-hitter queries.
@@ -177,18 +164,13 @@ func NewPipelined(shards int, factory func() Summary) *core.Pipelined {
 	return core.NewPipelined(shards, factory)
 }
 
-// NewWindow returns a sliding-window heavy-hitter summary over the most
-// recent size items, using blocks Space-Saving summaries of k counters
-// each (extension; see internal/window).
-func NewWindow(size, blocks, k int) (*window.Window, error) {
-	return window.New(size, blocks, k)
-}
-
-// NewWindowed returns the sliding window lifted to the full summary
-// contract ("SSW"): Summary + BatchUpdater + Snapshotter + Merger with
-// the WN01 wire format, so it serves, checkpoints, recovers, and merges
-// through the same machinery as the whole-stream summaries. size must
-// be a multiple of blocks.
+// NewWindowed returns a sliding-window heavy-hitter summary ("SSW") over
+// the most recent size items, using blocks Space-Saving summaries of k
+// counters each (extension; see internal/window). It implements the
+// full summary contract — Summary + BatchUpdater + Snapshotter + Merger
+// with the WN01 wire format — so it serves, checkpoints, recovers, and
+// merges through the same machinery as the whole-stream summaries.
+// size must be a multiple of blocks.
 func NewWindowed(size, blocks, k int) (*window.Windowed, error) {
 	return window.NewWindowed(size, blocks, k)
 }

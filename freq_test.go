@@ -165,9 +165,6 @@ func TestFacadeConstructors(t *testing.T) {
 	if s := NewCountMinConservative(2, 16, 1); s.Name() != "CMC" {
 		t.Errorf("NewCountMinConservative built %s", s.Name())
 	}
-	if s := NewStickySampling(0.01, 0.005, 0.01, 1); s.Name() != "SS-MM" {
-		t.Errorf("NewStickySampling built %s", s.Name())
-	}
 	tr := NewTracked(NewCountSketch(3, 64, 1), 10)
 	tr.Update(4, 2)
 	if tr.Estimate(4) != 2 {

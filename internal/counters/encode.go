@@ -67,22 +67,27 @@ func (r *entReader) done() error {
 
 // MarshalBinary implements encoding.BinaryMarshaler. Logical counts are
 // stored (the offset is folded in), so the decoded summary is logically
-// identical with offset zero.
+// identical with offset zero. Entries are written in heap-structural
+// order, like SS01.
 func (f *Frequent) MarshalBinary() ([]byte, error) {
 	var w entWriter
 	w.buf.WriteString(magicFQ)
 	w.u64(uint64(f.k))
 	w.i64(f.n)
 	w.i64(f.decs)
-	w.u64(uint64(len(f.heap)))
-	for _, e := range f.heap {
-		w.u64(uint64(e.item))
-		w.i64(e.count - f.offset)
+	w.u64(uint64(len(f.st.heap)))
+	for _, id := range f.st.heap {
+		nd := &f.st.nodes[id]
+		w.u64(uint64(nd.item))
+		w.i64(nd.count - f.offset)
 	}
 	return w.buf.Bytes(), nil
 }
 
 // DecodeFrequent parses a summary produced by (*Frequent).MarshalBinary.
+// The decoded summary must pass Check, so a blob with negative
+// accounting, or estimates its decrement mass cannot account for, is
+// rejected rather than served.
 func DecodeFrequent(data []byte) (*Frequent, error) {
 	if len(data) < 4 || string(data[:4]) != magicFQ {
 		return nil, fmt.Errorf("counters: not a Frequent blob")
@@ -111,15 +116,16 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 		if count <= 0 {
 			return nil, fmt.Errorf("counters: non-positive stored count %d", count)
 		}
-		e := &entry{item: item, count: count}
-		f.index[item] = e
-		f.heap.push(e)
+		if f.st.lookup(item) >= 0 {
+			return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
+		}
+		f.st.fill(item, count)
 	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	if len(f.index) != len(f.heap) {
-		return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
+	if err := f.Check(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -1,9 +1,11 @@
 package counters
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
+	"streamfreq/internal/core"
 	"streamfreq/internal/zipf"
 )
 
@@ -124,6 +126,77 @@ func TestCounterDecodeRejectsCorruption(t *testing.T) {
 	forged[4+24] = 0xFF // entries field low byte
 	if _, err := DecodeFrequent(forged); err == nil {
 		t.Error("forged entry count accepted")
+	}
+}
+
+// TestFrequentDecodeRejectsForgedAccounting: an FQ01 blob whose
+// accounting no Misra–Gries run can produce is refused — negative n or
+// decrement mass (a negative MaxError would drop every item from
+// Query), or estimates the decrement mass cannot account for
+// (Σestimates + (k+1)·MaxError > n). Merged summaries, where that sum
+// falls short of n, still decode.
+func TestFrequentDecodeRejectsForgedAccounting(t *testing.T) {
+	const k = 3
+	f := NewFrequent(k)
+	for i := 0; i < 200; i++ {
+		f.Update(core.Item(i%7), int64(1+i%3))
+	}
+	if f.MaxError() == 0 {
+		t.Fatal("stream never decremented; the forgeries below need MaxError > 0")
+	}
+	blob, _ := f.MarshalBinary()
+	if _, err := DecodeFrequent(blob); err != nil {
+		t.Fatalf("genuine blob rejected: %v", err)
+	}
+	const nOff, decsOff, entry0 = 4 + 8, 4 + 16, 4 + 32
+	forge := func(off int, v int64) []byte {
+		b := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"negative n", forge(nOff, -1)},
+		{"negative MaxError", forge(decsOff, -1)},
+		{"MaxError past n/(k+1)", forge(decsOff, f.N()/(k+1)+1)},
+		{"n below the mass identity", forge(nOff, f.N()-1)},
+		{"estimate past n", forge(entry0+8, f.N()+1)},
+		// Three estimates of 2^62 wrap an int64 sum back to a small
+		// positive slack; the sum must be bounded as it accumulates.
+		{"estimates overflow", func() []byte {
+			b := []byte(magicFQ)
+			for _, v := range []uint64{k, 400, 0, 3, 1, 1 << 62, 2, 1 << 62, 3, 1 << 62} {
+				b = binary.LittleEndian.AppendUint64(b, v)
+			}
+			return b
+		}()},
+		{"duplicate item", func() []byte {
+			b := bytes.Clone(blob)
+			copy(b[entry0+16:entry0+24], b[entry0:entry0+8])
+			return b
+		}()},
+	} {
+		if _, err := DecodeFrequent(tc.blob); err == nil {
+			t.Errorf("%s: forged Frequent blob accepted", tc.name)
+		}
+	}
+
+	g := NewFrequent(k)
+	for i := 0; i < 100; i++ {
+		g.Update(core.Item(10+i%5), 1)
+	}
+	if err := f.Merge(g); err != nil {
+		t.Fatal(err)
+	}
+	merged, _ := f.MarshalBinary()
+	dec, err := DecodeFrequent(merged)
+	if err != nil {
+		t.Fatalf("merged blob rejected: %v", err)
+	}
+	if err := dec.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

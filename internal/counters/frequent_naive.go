@@ -10,7 +10,7 @@ import (
 // baseline for the offset-trick implementation in Frequent
 // (BenchmarkAblationMGOffset): the two are semantically identical — for
 // any input stream they hold exactly the same (item, count) set — which
-// TestFrequentOffsetEquivalence verifies, so the speedup is pure
+// FuzzFrequentOffset verifies, so the speedup is pure
 // implementation.
 type FrequentNaive struct {
 	k      int

@@ -1,49 +1,67 @@
 package counters
 
 import (
+	"encoding/binary"
 	"testing"
-	"testing/quick"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/prng"
 	"streamfreq/internal/zipf"
 )
 
-// TestFrequentOffsetEquivalence is the ablation correctness proof: the
+// FuzzFrequentOffset is the ablation correctness proof: the
 // offset-trick Frequent and the textbook decrement-all FrequentNaive
-// must produce byte-identical summaries on any stream.
-func TestFrequentOffsetEquivalence(t *testing.T) {
-	f := func(items []uint16, kRaw uint8) bool {
+// must hold identical summaries on any stream. Each byte pair is one
+// weighted arrival from a 64-item universe, so small k sees constant
+// eviction, and the flat storage's counter-freeing path (popMin) runs
+// on every decrement; Check runs after every update. The seeds run as
+// ordinary tier-1 cases.
+func FuzzFrequentOffset(f *testing.F) {
+	f.Add([]byte(nil), uint8(0))
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 3, 0}, uint8(1))
+	rng := prng.New(0xF0F5E7)
+	for i := 0; i < 64; i++ {
+		data := make([]byte, 2*(1+rng.Uint64n(400)))
+		for j := range data {
+			data[j] = byte(rng.Uint64())
+		}
+		f.Add(data, uint8(rng.Uint64()))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kRaw uint8) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
 		k := int(kRaw%20) + 1
 		fast := NewFrequent(k)
 		slow := NewFrequentNaive(k)
-		for _, raw := range items {
+		for i := 0; i+1 < len(data); i += 2 {
+			raw := binary.LittleEndian.Uint16(data[i:])
 			it := core.Item(raw % 64)
 			w := int64(raw%3) + 1
 			fast.Update(it, w)
 			slow.Update(it, w)
+			if err := fast.Check(); err != nil {
+				t.Fatalf("after arrival %d: %v", i/2, err)
+			}
 		}
 		if fast.MaxError() != slow.MaxError() {
-			return false
+			t.Fatalf("MaxError %d, naive %d", fast.MaxError(), slow.MaxError())
 		}
 		fe, se := fast.Entries(), slow.Entries()
 		if len(fe) != len(se) {
-			return false
+			t.Fatalf("%d entries, naive %d", len(fe), len(se))
 		}
 		for i := range fe {
 			if fe[i] != se[i] {
-				return false
+				t.Fatalf("entry %d = %+v, naive %+v", i, fe[i], se[i])
 			}
 		}
 		for v := core.Item(0); v < 64; v++ {
 			if fast.Estimate(v) != slow.Estimate(v) {
-				return false
+				t.Fatalf("Estimate(%d) = %d, naive %d", v, fast.Estimate(v), slow.Estimate(v))
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 func TestFrequentOffsetEquivalenceZipf(t *testing.T) {

@@ -163,6 +163,12 @@ func (l *LossyCounting) Clone() *LossyCounting {
 // Snapshot implements core.Snapshotter.
 func (l *LossyCounting) Snapshot() core.Summary { return l.Clone() }
 
+// entryBytes is the charged size of one (item, count, err, heap-index)
+// counter slot held in a Go map, doubled for map/pointer overhead: the
+// accounting rule of the map-based summaries (LC here, FrequentNaive).
+// The flat-storage summaries report ssBlockBytes instead.
+const entryBytes = 2 * (8 + 8 + 8 + 8)
+
 // Bytes charges the live entries at the common accounting rate. LC's
 // footprint floats with the data distribution; Bytes reports the current
 // footprint, and the harness additionally records the high-water mark.

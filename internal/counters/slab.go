@@ -7,25 +7,28 @@ import (
 	"streamfreq/internal/core"
 )
 
-// Slab-backed storage for Space-Saving (SSH). A multi-tenant daemon
-// holds millions of small instances, and the dominant cost of the old
-// layout was not the counters — it was the per-instance Go map and the
-// per-entry heap pointers: three heap objects and a map bucket chain
-// per counter, each a GC-visible pointer. The flat layout replaces all
-// of it with three slices per instance:
+// The flat counter storage shared by Space-Saving (SSH) and Frequent
+// (F), and its slab allocator. A multi-tenant daemon holds millions of
+// small instances, and the dominant cost of a pointer layout is not the
+// counters — it is the per-instance Go map and the per-entry heap
+// pointers: three heap objects and a map bucket chain per counter, each
+// a GC-visible pointer. The flat layout replaces all of it with a few
+// slices per instance:
 //
 //	nodes []ssNode — the counters themselves (item, count, err, heap
-//	                 position), node id = position, never moved;
+//	                 position), node id = position, kept dense;
 //	heap  []int32  — a min-heap of node ids ordered by count;
 //	index []int32  — an open-addressed hash table item → node id.
 //
 // Space-Saving never frees a counter (replacement overwrites the
-// victim's item in place), so node ids are stable for the instance's
-// lifetime and the only index deletions are the one-out-one-in pairs of
-// replacement — handled with tombstones and an O(k) rebuild when they
-// accumulate. The layout is pointer-free below the three slice headers,
-// so a million instances cost the GC a million objects, not a hundred
-// million.
+// victim's item in place), so its node ids are stable for the
+// instance's lifetime and its only index deletions are the
+// one-out-one-in pairs of replacement. Frequent frees the counters its
+// decrements zero (popMin), which moves the last node into the freed id
+// so the node slice stays dense. Deletions leave tombstones, with an
+// O(k) rebuild when they accumulate. The layout is pointer-free below
+// the slice headers, so a million instances cost the GC a million
+// objects, not a hundred million.
 //
 // A Slab carves those slices out of per-k chunk arenas and recycles
 // whole blocks through a free list, so tenant churn (lazy instantiation
@@ -140,6 +143,22 @@ func (st *ssStorage) insert(x core.Item, id int32) {
 	}
 }
 
+// slot returns the index position of tracked item x.
+func (st *ssStorage) slot(x core.Item) uint64 {
+	mask := uint64(len(st.index) - 1)
+	i := ssHash(x) >> st.shift
+	for {
+		s := st.index[i]
+		if s == 0 {
+			panic("counters: index slot of an untracked item")
+		}
+		if s != ssTombstone && st.nodes[s-1].item == x {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
 // remove deletes x's slot, leaving a tombstone; when tombstones exceed
 // a quarter of the table the index is rebuilt from the nodes (O(k)),
 // which bounds probe lengths: ≤ 1/2 live + ≤ 1/4 tombstones keeps
@@ -201,11 +220,11 @@ func (st *ssStorage) clone(k int) ssStorage {
 	return ns
 }
 
-// The heap operations mirror minHeap (heap.go) exactly — same
-// comparison (count only, no tie-break), same swap order — so a flat
-// instance fed the same update sequence produces the identical heap
-// arrangement, which keeps the SS01 wire encoding (heap-structural
-// order) bit-identical across the storage refactor.
+// The heap operations are those of a textbook indexed binary min-heap
+// — comparison on count only, no tie-break; push sifts up, pop moves
+// the last slot to the root and sifts it down — and the SS01 and FQ01
+// wire encodings write counters in heap-structural order, so the heap
+// arrangement is part of the wire format (golden_test.go pins it).
 
 func (st *ssStorage) heapLess(i, j int) bool {
 	return st.hcnt[i] < st.hcnt[j]
@@ -238,6 +257,36 @@ func (st *ssStorage) fill(x core.Item, c int64) {
 	st.nodes = append(st.nodes, ssNode{item: x, count: c})
 	st.insert(x, id)
 	st.heapPush(id)
+}
+
+// popMin frees the minimum counter. The heap root is popped as a
+// binary heap pops it: the last slot moves to the root, the heap
+// shrinks, and the root sifts down. The item leaves the index, and the
+// last node moves into the freed id, so node ids stay dense
+// (len(nodes) == len(heap)) and fill can append.
+func (st *ssStorage) popMin() {
+	id, last := st.heap[0], len(st.heap)-1
+	st.heap[0], st.hcnt[0] = st.heap[last], st.hcnt[last]
+	st.nodes[st.heap[0]].heapIdx = 0
+	st.heap, st.hcnt = st.heap[:last], st.hcnt[:last]
+	if last > 0 {
+		st.heapDown(0)
+	}
+	// Both index slots are found before the nodes move, while every
+	// node still resolves under its own item.
+	freed := st.slot(st.nodes[id].item)
+	if mv := int32(last); mv != id {
+		st.index[st.slot(st.nodes[mv].item)] = id + 1
+		st.nodes[id] = st.nodes[mv]
+		st.heap[st.nodes[id].heapIdx] = id
+	}
+	st.nodes = st.nodes[:last]
+	// Tombstone the freed slot under remove's rebuild rule.
+	st.index[freed] = ssTombstone
+	st.tombs++
+	if int(st.tombs) > len(st.index)/4 {
+		st.rebuildIndex()
+	}
 }
 
 // replace hands the counter at heap slot h to x: x inherits the

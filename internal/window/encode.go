@@ -28,9 +28,10 @@ import (
 const (
 	magicWN = "WN01"
 	// maxWNBlocks/maxWNCounters/maxWNSize bound a corrupt header's
-	// allocations. New enforces the same bounds at construction, so the
-	// decoder never rejects a blob MarshalBinary legally produced; real
-	// configurations use tens of blocks and thousands of counters.
+	// allocations. NewWindowed enforces the same bounds at
+	// construction, so the decoder never rejects a blob MarshalBinary
+	// legally produced; real configurations use tens of blocks and
+	// thousands of counters.
 	maxWNBlocks   = 1 << 16
 	maxWNCounters = 1 << 22 // counters.maxEntries, the per-block decode cap
 	maxWNSize     = int64(1) << 40
@@ -47,22 +48,21 @@ func (s *Windowed) MarshalBinary() ([]byte, error) {
 		binary.LittleEndian.PutUint64(b8[:], v)
 		buf.Write(b8[:])
 	}
-	w := s.Window
-	u64(uint64(w.size))
-	u64(uint64(w.blocks))
-	u64(uint64(w.k))
-	u64(uint64(w.n))
+	u64(uint64(s.size))
+	u64(uint64(s.blocks))
+	u64(uint64(s.k))
+	u64(uint64(s.n))
 	u64(uint64(s.coverage))
-	u64(uint64(w.head))
-	u64(uint64(w.curFill))
+	u64(uint64(s.head))
+	u64(uint64(s.curFill))
 	live := 0
-	for _, b := range w.ring {
+	for _, b := range s.ring {
 		if b != nil {
 			live++
 		}
 	}
 	u64(uint64(live))
-	for i, b := range w.ring {
+	for i, b := range s.ring {
 		if b == nil {
 			continue
 		}
@@ -114,10 +114,10 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 	if head >= ringLen || curFill >= blockLen || liveBlocks == 0 || liveBlocks > ringLen {
 		return nil, fmt.Errorf("window: implausible ring state (head=%d fill=%d live=%d)", head, curFill, liveBlocks)
 	}
-	if n < 0 || coverage < int64(size) {
+	if n < 0 || coverage < int64(size) || coverage%int64(size) != 0 {
 		return nil, fmt.Errorf("window: implausible accounting (n=%d coverage=%d)", n, coverage)
 	}
-	w := &Window{
+	w := &Windowed{
 		size:     int(size),
 		blocks:   int(blocks),
 		blockLen: int(blockLen),
@@ -126,6 +126,7 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 		head:     int(head),
 		curFill:  int(curFill),
 		n:        n,
+		coverage: coverage,
 	}
 	prev := -1
 	for i := uint64(0); i < liveBlocks; i++ {
@@ -167,5 +168,5 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 	if n < w.liveCount {
 		return nil, fmt.Errorf("window: stream length %d below live count %d", n, w.liveCount)
 	}
-	return &Windowed{Window: w, coverage: coverage}, nil
+	return w, nil
 }

@@ -1,12 +1,28 @@
+// Package window provides sliding-window frequent items: heavy hitters
+// over the most recent W stream items, not the whole history. This is the
+// natural "recent trends" extension the VLDB 2008 study's applications
+// call for (queries trending *today*, flows hot *right now*) and a
+// standard follow-up to whole-stream summaries.
+//
+// The construction is block decomposition: the window is covered by B
+// fixed-size blocks, each summarized by an independent Space-Saving
+// summary. The oldest block is dropped as the window slides; queries
+// merge the live blocks. Errors compound from two sources — the per-block
+// Space-Saving overestimate (εW/B per block, εW total) and the boundary
+// block, whose up-to-W/B expired items may still be counted — both
+// bounded and reported via Slack.
 package window
 
 import (
+	"fmt"
+
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
 )
 
-// Windowed lifts Window to the repository's full summary contract, so
-// sliding-window heavy hitters plug into every layer built on
+// Windowed summarizes the most recent W items with B blocks of
+// Space-Saving summaries, under the repository's full summary contract,
+// so sliding-window heavy hitters plug into every layer built on
 // core.Summary: the Concurrent wrapper's snapshot serving, the
 // registry wire format (WN01), checkpoints and WAL recovery, and the
 // cluster merge. It answers the *recent-past* form of the frequent-items
@@ -46,23 +62,74 @@ import (
 // WN01) to a fresh window fed exactly the durable prefix with the
 // original batch boundaries; recovery_test.go pins this.
 type Windowed struct {
-	*Window
+	size      int
+	blocks    int
+	blockLen  int
+	k         int // counters per block summary
+	ring      []*counters.SpaceSavingHeap
+	head      int // index of the block currently being filled
+	curFill   int
+	liveCount int64 // items currently represented (≤ coverage + blockLen)
+	n         int64 // total items ever seen
 	// coverage is the total window span represented: W for a single
 	// stream, summed under Merge (a merged summary covers one window per
 	// contributing node). It is the cap WindowN applies to the live item
-	// count.
+	// count, and Slack scales with it.
 	coverage int64
 }
 
 // NewWindowed returns a sliding-window summary over the most recent
 // size items, covered by blocks Space-Saving summaries of k counters
-// each; size must be a multiple of blocks.
+// each; size must be a multiple of blocks. The geometry bounds match
+// what the WN01 decoder accepts, so any window that can be constructed
+// can also be checkpointed and recovered — an over-bound configuration
+// fails here, at startup, not at recovery time with an unreadable data
+// directory.
 func NewWindowed(size, blocks, k int) (*Windowed, error) {
-	w, err := New(size, blocks, k)
-	if err != nil {
-		return nil, err
+	if size <= 0 || blocks <= 0 || k <= 0 {
+		return nil, fmt.Errorf("window: size, blocks, k must be positive")
 	}
-	return &Windowed{Window: w, coverage: int64(size)}, nil
+	if size%blocks != 0 {
+		return nil, fmt.Errorf("window: size %d not a multiple of blocks %d", size, blocks)
+	}
+	if blocks > maxWNBlocks || k > maxWNCounters || int64(size) > maxWNSize {
+		return nil, fmt.Errorf("window: geometry out of range (W=%d B=%d k=%d; max %d/%d/%d)",
+			size, blocks, k, maxWNSize, maxWNBlocks, maxWNCounters)
+	}
+	// The ring keeps blocks+1 summaries so the live blocks always cover at
+	// least the last W items: B full blocks plus the one being filled.
+	// Coverage therefore spans [W, W + W/B] items, which makes windowed
+	// estimates one-sided (never below the true last-W count).
+	s := &Windowed{
+		size:     size,
+		blocks:   blocks,
+		blockLen: size / blocks,
+		k:        k,
+		ring:     make([]*counters.SpaceSavingHeap, blocks+1),
+		coverage: int64(size),
+	}
+	s.ring[0] = counters.NewSpaceSavingHeap(k)
+	return s, nil
+}
+
+// Size returns the window length W.
+func (s *Windowed) Size() int { return s.size }
+
+// N returns the total number of items ever observed.
+func (s *Windowed) N() int64 { return s.n }
+
+// Live returns the number of items currently represented in the window
+// summaries (at most W + W/B during the boundary block, per merged
+// window).
+func (s *Windowed) Live() int64 { return s.liveCount }
+
+// Slack returns the maximum overestimation of any windowed estimate:
+// per window, the sum of per-block Space-Saving slack plus one boundary
+// block of expired items. A merged summary adds one window's slack per
+// contributing window, so the total scales by coverage/W.
+func (s *Windowed) Slack() int64 {
+	perWindow := int64(s.blocks+1)*int64(s.blockLen)/int64(s.k) + int64(s.blockLen)
+	return perWindow * (s.coverage / int64(s.size))
 }
 
 // Name implements core.Summary. "SSW" = Space-Saving, windowed.
@@ -93,21 +160,35 @@ func (s *Windowed) WindowN() int64 {
 // rotates when the block completes. Both ingest paths run through this
 // single walk, so the boundary and liveCount rules cannot drift apart —
 // which is what the bit-identical WAL-replay contract leans on.
-func (w *Window) fillSegments(total int64, apply func(m int64)) {
+func (s *Windowed) fillSegments(total int64, apply func(m int64)) {
 	for total > 0 {
-		m := int64(w.blockLen - w.curFill)
+		m := int64(s.blockLen - s.curFill)
 		if m > total {
 			m = total
 		}
 		apply(m)
-		w.n += m
-		w.liveCount += m
-		w.curFill += int(m)
-		if w.curFill == w.blockLen {
-			w.rotate()
+		s.n += m
+		s.liveCount += m
+		s.curFill += int(m)
+		if s.curFill == s.blockLen {
+			s.rotate()
 		}
 		total -= m
 	}
+}
+
+// rotate advances to the next ring slot once the current block is full:
+// the next slot becomes current and whatever it held expires. Block
+// boundaries are a pure function of the arrival count, which is what
+// makes the windowed state reproducible from any stream prefix (WAL
+// replay lands on the same boundaries the live run did).
+func (s *Windowed) rotate() {
+	s.head = (s.head + 1) % len(s.ring)
+	if old := s.ring[s.head]; old != nil {
+		s.liveCount -= old.N()
+	}
+	s.ring[s.head] = counters.NewSpaceSavingHeap(s.k)
+	s.curFill = 0
 }
 
 // Update implements core.Summary for the insert-only model: count
@@ -117,9 +198,8 @@ func (s *Windowed) Update(x core.Item, count int64) {
 	if count <= 0 {
 		panic("window: Windowed requires positive update counts (insert-only stream model)")
 	}
-	w := s.Window
-	w.fillSegments(count, func(m int64) {
-		w.ring[w.head].Update(x, m)
+	s.fillSegments(count, func(m int64) {
+		s.ring[s.head].Update(x, m)
 	})
 }
 
@@ -129,10 +209,9 @@ func (s *Windowed) Update(x core.Item, count int64) {
 // resulting state depends only on the stream content and the batch
 // boundaries — the exact reproducibility the WAL replay contract needs.
 func (s *Windowed) UpdateBatch(items []core.Item) {
-	w := s.Window
 	off := 0
-	w.fillSegments(int64(len(items)), func(m int64) {
-		w.ring[w.head].UpdateBatch(items[off : off+int(m)])
+	s.fillSegments(int64(len(items)), func(m int64) {
+		s.ring[s.head].UpdateBatch(items[off : off+int(m)])
 		off += int(m)
 	})
 }
@@ -142,28 +221,62 @@ func (s *Windowed) UpdateBatch(items []core.Item) {
 // the clone serves exactly the parent's current window and neither side
 // ever observes the other's subsequent arrivals.
 func (s *Windowed) Clone() *Windowed {
-	w := s.Window
-	nw := &Window{
-		size:      w.size,
-		blocks:    w.blocks,
-		blockLen:  w.blockLen,
-		k:         w.k,
-		ring:      make([]*counters.SpaceSavingHeap, len(w.ring)),
-		head:      w.head,
-		curFill:   w.curFill,
-		liveCount: w.liveCount,
-		n:         w.n,
-	}
-	for i, b := range w.ring {
+	ns := *s
+	ns.ring = make([]*counters.SpaceSavingHeap, len(s.ring))
+	for i, b := range s.ring {
 		if b != nil {
-			nw.ring[i] = b.Clone()
+			ns.ring[i] = b.Clone()
 		}
 	}
-	return &Windowed{Window: nw, coverage: s.coverage}
+	return &ns
 }
 
 // Snapshot implements core.Snapshotter.
 func (s *Windowed) Snapshot() core.Summary { return s.Clone() }
+
+// Estimate returns an upper-bound estimate of x's count within the
+// current window (plus the boundary block).
+func (s *Windowed) Estimate(x core.Item) int64 {
+	var total int64
+	for _, b := range s.ring {
+		if b == nil {
+			continue
+		}
+		if g := b.Estimate(x); g > 0 {
+			total += g
+		}
+	}
+	return total
+}
+
+// Query returns the items whose windowed estimate reaches threshold,
+// descending. Recall guarantee: any item with at least threshold
+// occurrences in the current window is reported, because block summaries
+// never underestimate.
+func (s *Windowed) Query(threshold int64) []core.ItemCount {
+	m := counters.NewSpaceSavingHeap(s.k)
+	for _, b := range s.ring {
+		if b == nil || b.N() == 0 {
+			continue
+		}
+		// Merge never fails between same-typed summaries.
+		if err := m.Merge(b); err != nil {
+			panic("window: " + err.Error())
+		}
+	}
+	return m.Query(threshold)
+}
+
+// Bytes reports the footprint of all live block summaries.
+func (s *Windowed) Bytes() int {
+	total := 0
+	for _, b := range s.ring {
+		if b != nil {
+			total += b.Bytes()
+		}
+	}
+	return total
+}
 
 // Merge combines another windowed summary of identical geometry (same
 // W, B, k) into this one, block-by-block aligned by recency: the other

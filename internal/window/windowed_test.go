@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -323,11 +324,16 @@ func TestWindowedMergeRecencyAligned(t *testing.T) {
 	if est := merged.Estimate(2001); est < a.Estimate(2001) {
 		t.Fatalf("merged estimate %d below node A's own %d", est, a.Estimate(2001))
 	}
+	// The merged slack is the per-side slacks added: one window's slack
+	// per window of coverage.
+	if got, want := merged.Slack(), 2*a.Slack(); got != want {
+		t.Fatalf("merged Slack = %d, want the summed per-side slack %d", got, want)
+	}
 	// Expired history stays expired: the old hot items decay to at most
-	// the merged slack (per-side slacks add).
+	// the merged slack.
 	for _, old := range []core.Item{1001, 1002} {
-		if est := merged.Estimate(old); est > 2*a.Slack() {
-			t.Fatalf("expired item %d estimated at %d in the merge, above summed slack %d", old, est, 2*a.Slack())
+		if est := merged.Estimate(old); est > merged.Slack() {
+			t.Fatalf("expired item %d estimated at %d in the merge, above merged slack %d", old, est, merged.Slack())
 		}
 	}
 
@@ -377,5 +383,12 @@ func TestWindowedEncodeValidation(t *testing.T) {
 	}
 	if _, err := DecodeWindowed([]byte("SS01")); err == nil {
 		t.Fatal("foreign magic decoded")
+	}
+	// Coverage is a whole number of windows (W per merged stream), the
+	// unit Slack scales by: a forged fractional coverage is refused.
+	forged := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(forged[4+4*8:], 800+1)
+	if _, err := DecodeWindowed(forged); err == nil {
+		t.Fatal("coverage that is not a multiple of W decoded")
 	}
 }
