@@ -97,8 +97,8 @@ func TestDecodeBitFlippedBlobs(t *testing.T) {
 // FuzzDecode is the native-fuzzing arm of the hostile-input property:
 // whatever bytes arrive, Decode errors or returns a structurally valid
 // summary — never a panic — and an accepted FQ01 or SS01 summary passes
-// its Check. The seed corpus covers every supported magic
-// with both valid and garbage payloads.
+// its Check. The seed corpus covers every supported magic with both
+// valid and garbage payloads.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("CM0"))
